@@ -7,7 +7,14 @@ binned into fixed-width buckets before ranking), and elimination ranking
 remaining model and the fewest-votes models are knocked out).
 
 The value-based schemes expect an oriented (higher-is-better) matrix; the
-`aggregate` dispatcher orients automatically and returns a Ranking.
+`aggregate` dispatcher orients automatically and returns a Ranking.  Float
+sums use `math.fsum`, which is correctly rounded and therefore independent
+of task order, so an exact tie never depends on how tasks were listed.
+
+`BATCHED` maps the schemes that have one to a batched subset kernel: it
+scores many task subsets of one matrix in a few numpy operations, for the
+subset audits.  `aggregate` is the scalar reference those kernels are
+tested against and fall back to.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 from .ranking import Ranking, fractional_ranks, rank_models
@@ -104,6 +113,14 @@ def _resolve_weights(
     return out
 
 
+def _fsum(terms: Iterable[float], where: str) -> float:
+    """Correctly rounded sum; a sum beyond the float range is a DomainError."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise DomainError(f"sum overflows the float range: {where}") from None
+
+
 def arithmetic_mean(
     m: ScoreMatrix,
     subset: Sequence[str] | None = None,
@@ -113,10 +130,10 @@ def arithmetic_mean(
     tasks = _check_subset(m, subset)
     _require_oriented(m, tasks)
     w = _resolve_weights(m, tasks, weights)
-    total_w = sum(w)
+    total_w = _fsum(w, "task weights")
     arr = m.to_array(tasks)
     values = {
-        mid: float(sum(wi * x for wi, x in zip(w, row)) / total_w)
+        mid: _fsum((wi * x for wi, x in zip(w, row.tolist())), f"model {mid!r}") / total_w
         for mid, row in zip(m.model_ids, arr)
     }
     return AggregateResult(values, higher_is_better=True)
@@ -131,19 +148,19 @@ def geometric_mean(
     tasks = _check_subset(m, subset)
     _require_oriented(m, tasks)
     w = _resolve_weights(m, tasks, weights)
-    total_w = sum(w)
+    total_w = _fsum(w, "task weights")
     arr = m.to_array(tasks)
     values = {}
     for i, mid in enumerate(m.model_ids):
-        log_sum = 0.0
+        terms = []
         for j, t in enumerate(tasks):
             x = arr[i, j]
             if x <= 0:
                 raise DomainError(
                     f"geometric mean undefined: model {mid!r} has score {x} on task {t!r}"
                 )
-            log_sum += w[j] * math.log(x)
-        values[mid] = math.exp(log_sum / total_w)
+            terms.append(w[j] * math.log(x))
+        values[mid] = math.exp(_fsum(terms, f"model {mid!r}") / total_w)
     return AggregateResult(values, higher_is_better=True)
 
 
@@ -191,11 +208,13 @@ def macro_average(
     col = {t: j for j, t in enumerate(tasks)}
     values = {}
     for i, mid in enumerate(m.model_ids):
-        group_means = []
-        for g in groups.values():
-            total_w = sum(w[t] for t in g)
-            group_means.append(sum(w[t] * arr[i, col[t]] for t in g) / total_w)
-        values[mid] = float(sum(group_means) / len(group_means))
+        where = f"model {mid!r}"
+        group_means = [
+            _fsum((w[t] * float(arr[i, col[t]]) for t in g), where)
+            / _fsum((w[t] for t in g), "task weights")
+            for g in groups.values()
+        ]
+        values[mid] = _fsum(group_means, where) / len(group_means)
     return AggregateResult(values, higher_is_better=True)
 
 
@@ -316,3 +335,92 @@ def aggregate(
     else:  # pragma: no cover - guarded by AggregationSpec validation
         raise ConfigError(f"unknown aggregation method {spec.method!r}")
     return rank_models(result)
+
+
+# -- batched subset kernels -------------------------------------------------
+#
+# A kernel factory takes the oriented dense array x (models x tasks, from
+# scorebank.oriented_array), the matrix and the spec, and returns a function
+# from a (subsets x size) array of task indices to (keys, tol).  keys is
+# (subsets x models) with higher meaning better.  With tol None the keys order
+# and tie the models exactly as `aggregate` does.  A float kernel returns a
+# per-subset tol instead: keys more than tol apart are certified to be ordered
+# the same way by `aggregate`; closer keys, exact ties included, are not, and
+# their subset must be settled on the scalar path.
+
+SubsetKeys = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _indicator(idx: np.ndarray, n_tasks: int) -> np.ndarray:
+    """One 0/1 float row per subset marking its tasks."""
+    ind = np.zeros((idx.shape[0], n_tasks))
+    np.put_along_axis(ind, idx, 1.0, axis=1)
+    return ind
+
+
+def _mean_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys:
+    """Weighted sums; the scalar mean divides the same sums by a common total.
+
+    Both paths add the same rounded terms t = w * x.  fsum rounds their
+    exact sum E once; the indicator product K adds them (and exact zeros)
+    in some order, so |K - E| <= T u M, with T tasks, u = eps / 2 and M an
+    upper bound on sum |t| over the subset for every model.  The scalar
+    value fl(fl(E) / W) keeps two models strictly ordered when their E
+    differ by more than 3 u (|E_a| + |E_b|) <= 3 eps M, plus W tiny when
+    the quotient is subnormal.  tol = (2T + 8) eps M + 4 W tiny covers the
+    sum of these with a margin of two.
+    """
+    w = np.array(_resolve_weights(m, m.task_ids, spec.weights))
+    terms = x * w
+    col_mag = np.abs(terms).max(axis=0)
+    n_tasks = x.shape[1]
+
+    def keys(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ind = _indicator(idx, n_tasks)
+        tol = (2 * n_tasks + 8) * _EPS * (ind @ col_mag) + 4 * _TINY * (ind @ w)
+        return ind @ terms.T, tol
+
+    return keys
+
+
+def _rank_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys:
+    """Minus twice the per-task rank sums.
+
+    The per-task ranks do not depend on the subset, so they are computed
+    once.  Twice a fractional rank is an integer, so the sums are exact and
+    so are their ties; the scalar path divides the same sums by the subset
+    size, which keeps every order and tie.
+    """
+    if spec.method == "robust_average_rank":
+        x = np.floor(x / spec.bin_width)
+    twice = 2 * np.array([fractional_ranks(col, descending=True) for col in x.T.tolist()])
+
+    def keys(idx: np.ndarray) -> tuple[np.ndarray, None]:
+        return -(_indicator(idx, x.shape[1]) @ twice), None
+
+    return keys
+
+
+def _median_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys:
+    """Per-model median of the subset's columns, by the scalar path's formula."""
+
+    def keys(idx: np.ndarray) -> tuple[np.ndarray, None]:
+        s = np.sort(x[:, idx], axis=2)  # models x subsets x size
+        mid = idx.shape[1] // 2
+        med = s[..., mid] if idx.shape[1] % 2 else (s[..., mid - 1] + s[..., mid]) / 2.0
+        return med.T, None
+
+    return keys
+
+
+# Schemes without a kernel (geometric_mean, macro_average,
+# elimination_ranking) are audited on the scalar path, one subset at a time.
+BATCHED: dict[str, Callable[[np.ndarray, ScoreMatrix, AggregationSpec], SubsetKeys]] = {
+    "arithmetic_mean": _mean_kernel,
+    "median": _median_kernel,
+    "average_rank": _rank_kernel,
+    "robust_average_rank": _rank_kernel,
+}

@@ -284,18 +284,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
     csv_text = _csv_text(["size", "k", "unique", "total"], curve_rows)
 
     out_dir = cfg.output_dir
+    text = render_text(report) if out_dir or args.format == "text" else ""
     if out_dir:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "audit.json").write_text(json_text)
         (directory / "audit_curve.csv").write_text(csv_text)
-        (directory / "audit.txt").write_text(render_text(report))
+        (directory / "audit.txt").write_text(text)
     if args.format == "json":
         sys.stdout.write(json_text)
     elif args.format == "csv":
         sys.stdout.write(csv_text)
     else:
-        sys.stdout.write(render_text(report))
+        sys.stdout.write(text)
     return 0
 
 

@@ -11,12 +11,14 @@ different aggregation schemes on the same data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import AggregationSpec, aggregate
+from .aggregate import BATCHED, AggregationSpec, aggregate
 from .errors import ConfigError, UndefinedCorrelationError
 from .ranking import (
     Ranking,
@@ -26,8 +28,9 @@ from .ranking import (
     kendall_tau_b,
     rank_models,
     top_k,
+    top_k_of_groups,
 )
-from .scorebank import ScoreMatrix
+from .scorebank import ScoreMatrix, oriented_array
 from .util import derive_seed
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLING_BUDGET = 10**6
+_CHUNK = 256  # subsets scored per numpy pass; bounds the kernels' working memory
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,58 @@ def _sampled_subsets(
     return [tuple(tasks[i] for i in pick) for pick in sorted(seen)]
 
 
+def _subset_topks(
+    m: ScoreMatrix, spec: AggregationSpec, subsets: Sequence[tuple[str, ...]], k: int
+) -> Iterator[TopK]:
+    """Top-k of every subset in order, batched where `spec` has a kernel.
+
+    The matrix is oriented and densified once and each chunk of subsets is
+    scored in one kernel call.  A subset is settled by the scalar
+    `aggregate` instead when it touches a missing cell, where that call
+    raises the scalar path's MissingScoreError, or when a float kernel
+    cannot certify the order of its top min(k + 1, n) keys.  Certified
+    keys are then strictly ordered, so ranking them by plain equality
+    gives the scalar path's Top-k.
+    """
+    factory = BATCHED.get(spec.method)
+    if factory is None:
+        for subset in subsets:
+            yield top_k(aggregate(m, subset, spec), k)
+        return
+    x, missing = oriented_array(m)
+    subset_keys = factory(x, m, spec)
+    col_missing = missing.any(axis=0)
+    pos = {t: j for j, t in enumerate(m.task_ids)}
+    n_cert = min(k + 1, m.n_models)
+    for start in range(0, len(subsets), _CHUNK):
+        chunk = subsets[start:start + _CHUNK]
+        idx = np.array([[pos[t] for t in s] for s in chunk], dtype=np.intp)
+        # A sum that overflows leaves an infinite tol or a NaN gap, which
+        # certifies nothing; the scalar path then raises its DomainError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            keys, tol = subset_keys(idx)
+            order = np.argsort(-keys, axis=1, kind="stable")
+            ranked = np.take_along_axis(keys, order, axis=1)
+            scalar = col_missing[idx].any(axis=1)
+            if tol is not None:
+                gaps = ranked[:, : n_cert - 1] - ranked[:, 1:n_cert]
+                scalar |= ~(gaps > tol[:, None]).all(axis=1)
+        for row, subset in enumerate(chunk):
+            if scalar[row]:
+                yield top_k(aggregate(m, subset, spec), k)
+            else:
+                groups = _tie_groups(m.model_ids, order[row].tolist(), ranked[row].tolist())
+                yield top_k_of_groups(groups, k)
+
+
+def _tie_groups(
+    model_ids: Sequence[str], order: list[int], keys: list[float]
+) -> Iterator[frozenset[str]]:
+    """Groups of equal keys, best first, from models sorted by key."""
+    for _, run in groupby(zip(keys, order), key=itemgetter(0)):
+        yield frozenset(model_ids[i] for _, i in run)
+
+
 def unique_topk_audit(
     m: ScoreMatrix,
     spec: AggregationSpec,
@@ -103,7 +159,9 @@ def unique_topk_audit(
 
     Every subset is aggregated under `spec`, its Top-k extracted as an
     ordered tuple (tied positions compared as sets), and distinct tuples
-    counted.  Enumeration is exhaustive unless C(T, size) exceeds
+    counted.  Subsets are scored in batches where the scheme has a kernel
+    in `aggregate.BATCHED`, with the same result as `aggregate` per
+    subset.  Enumeration is exhaustive unless C(T, size) exceeds
     `sampling_budget`, in which case a seeded uniform sample without
     replacement is used and the result is flagged as sampled.
     """
@@ -122,8 +180,7 @@ def unique_topk_audit(
         exact = False
     per_subset: dict[tuple[str, ...], TopK] = {}
     distinct: set[tuple] = set()
-    for subset in subsets:
-        tk = top_k(aggregate(m, subset, spec), k)
+    for subset, tk in zip(subsets, _subset_topks(m, spec, subsets, k)):
         per_subset[subset] = tk
         distinct.add(tk.sequence)
     return SubsetAuditResult(

@@ -190,6 +190,22 @@ def orient(m: ScoreMatrix) -> NormalizedMatrix:
     return NormalizedMatrix(m.model_ids, m.task_ids, rows, metrics)
 
 
+def oriented_array(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Dense higher-is-better float array of all cells, and its missing-cell mask.
+
+    Lower-is-better columns are negated as `orient` does.  Missing cells
+    hold 0.0 in the array and True in the mask; callers that read them
+    must check the mask first.
+    """
+    shape = (m.n_models, m.n_tasks)
+    missing = np.array([[c is None for c in row] for row in m.scores], dtype=bool).reshape(shape)
+    x = np.array([[0.0 if c is None else c for c in row] for row in m.scores],
+                 dtype=float).reshape(shape)
+    flip = np.array([m.metrics[t].direction == LOWER for t in m.task_ids])
+    x[:, flip] = -x[:, flip]
+    return x, missing
+
+
 def human_normalize(m: ScoreMatrix) -> NormalizedMatrix:
     """Rescale every score to (s - random_baseline) / (human_reference - random_baseline).
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rankaudit import fixtures
 from rankaudit.aggregate import (
+    METHODS,
     AggregationSpec,
     aggregate,
     arithmetic_mean,
@@ -376,3 +379,59 @@ def test_arithmetic_mean_common_affine_invariance():
         mapped = matrix([[a * cell + b for cell in row] for row in m.scores])
         spec = AggregationSpec("arithmetic_mean")
         assert aggregate(m, None, spec).entries == aggregate(mapped, None, spec).entries
+
+
+# -- exact, order-independent sums --------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["arithmetic_mean", "geometric_mean", "macro_average"])
+def test_equal_means_tie_whatever_the_task_order(method):
+    # Left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001 but 0.3 + 0.2 + 0.1 is 0.6.
+    m = matrix([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+    spec = AggregationSpec(method, group_map={t: "g" for t in m.task_ids})
+    assert aggregate(m, None, spec).entries == {"A": 1.5, "B": 1.5}
+
+
+@st.composite
+def scored_matrices(draw):
+    n_models = draw(st.integers(2, 5))
+    n_tasks = draw(st.integers(2, 5))
+    cell = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 3.0]), st.floats(0.01, 100.0))
+    rows = draw(st.lists(st.lists(cell, min_size=n_tasks, max_size=n_tasks),
+                         min_size=n_models, max_size=n_models))
+    return matrix(rows)
+
+
+def spec_for(method, m):
+    return AggregationSpec(method, group_map={t: f"g{j % 2}" for j, t in enumerate(m.task_ids)})
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(m=scored_matrices(), data=st.data())
+def test_ranking_ignores_the_order_of_subset_tasks(method, m, data):
+    shuffled = data.draw(st.permutations(m.task_ids))
+    spec = spec_for(method, m)
+    assert aggregate(m, shuffled, spec) == aggregate(m, m.task_ids, spec)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(m=scored_matrices(), data=st.data())
+def test_ranking_ignores_the_order_of_model_rows(method, m, data):
+    perm = data.draw(st.permutations(range(m.n_models)))
+    permuted = ScoreMatrix(tuple(m.model_ids[i] for i in perm), m.task_ids,
+                           tuple(m.scores[i] for i in perm), m.metrics)
+    spec = spec_for(method, m)
+    assert aggregate(permuted, None, spec) == aggregate(m, None, spec)
+
+
+@pytest.mark.parametrize("method", ["arithmetic_mean", "geometric_mean", "median",
+                                    "macro_average"])
+@given(m=scored_matrices(), data=st.data())
+def test_ranking_ignores_one_models_scores_permuted_across_equal_weight_tasks(method, m, data):
+    i = data.draw(st.integers(0, m.n_models - 1))
+    perm = data.draw(st.permutations(range(m.n_tasks)))
+    rows = list(m.scores)
+    rows[i] = tuple(rows[i][j] for j in perm)
+    moved = ScoreMatrix(m.model_ids, m.task_ids, tuple(rows), m.metrics)
+    spec = AggregationSpec(method, group_map={t: "g" for t in m.task_ids})
+    assert aggregate(moved, None, spec) == aggregate(m, None, spec)

@@ -22,6 +22,7 @@ from rankaudit.scorebank import (
     load_matrix,
     load_metrics,
     orient,
+    oriented_array,
     save_matrix,
     save_metrics,
 )
@@ -204,6 +205,15 @@ def test_orient_preserves_missing():
     m = load_matrix("model,t1\na,\nb,2\n", "csv", {"t1": MetricSpec(direction=LOWER)})
     out = orient(m)
     assert out.column("t1") == (None, -2.0)
+
+
+@given(matrices())
+def test_oriented_array_matches_orient_and_marks_missing(m):
+    x, missing = oriented_array(m)
+    oriented = orient(m)
+    assert missing.tolist() == [[c is None for c in row] for row in m.scores]
+    assert [[None if gap else v for v, gap in zip(xr, mr)]
+            for xr, mr in zip(x.tolist(), missing.tolist())] == [list(r) for r in oriented.scores]
 
 
 # -- human normalization -----------------------------------------------------
