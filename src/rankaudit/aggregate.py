@@ -30,19 +30,6 @@ from .errors import ConfigError, DomainError
 from .ranking import Ranking, fractional_ranks, rank_models
 from .scorebank import HIGHER, ScoreMatrix, orient
 
-METHODS = (
-    "arithmetic_mean",
-    "geometric_mean",
-    "median",
-    "macro_average",
-    "average_rank",
-    "robust_average_rank",
-    "elimination_ranking",
-)
-
-RANK_VALUED = {"average_rank", "robust_average_rank"}
-
-
 @dataclass(frozen=True)
 class AggregationSpec:
     """Which aggregation scheme to run, plus its parameters.
@@ -303,6 +290,23 @@ def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> 
     return Ranking(entries)
 
 
+# The scalar schemes: method name -> scheme on an oriented matrix, a checked
+# task tuple and the spec.  METHODS lists its keys in this order.
+SCHEMES: dict[str, Callable[[ScoreMatrix, tuple[str, ...], AggregationSpec],
+                            AggregateResult | Ranking]] = {
+    "arithmetic_mean": lambda m, tasks, spec: arithmetic_mean(m, tasks, spec.weights),
+    "geometric_mean": lambda m, tasks, spec: geometric_mean(m, tasks, spec.weights),
+    "median": lambda m, tasks, spec: median_score(m, tasks),
+    "macro_average": lambda m, tasks, spec: macro_average(m, tasks, spec.group_map,
+                                                          spec.weights),
+    "average_rank": lambda m, tasks, spec: average_rank(m, tasks),
+    "robust_average_rank": lambda m, tasks, spec: robust_average_rank(m, tasks, spec.bin_width),
+    "elimination_ranking": lambda m, tasks, spec: elimination_ranking(m, tasks),
+}
+
+METHODS = tuple(SCHEMES)
+
+
 def aggregate(
     m: ScoreMatrix,
     subset: Sequence[str] | None = None,
@@ -318,23 +322,8 @@ def aggregate(
     tasks = _check_subset(m, subset)
     if any(m.metrics[t].direction != HIGHER for t in tasks):
         m = orient(m)
-    if spec.method == "arithmetic_mean":
-        result = arithmetic_mean(m, tasks, spec.weights)
-    elif spec.method == "geometric_mean":
-        result = geometric_mean(m, tasks, spec.weights)
-    elif spec.method == "median":
-        result = median_score(m, tasks)
-    elif spec.method == "macro_average":
-        result = macro_average(m, tasks, spec.group_map, spec.weights)
-    elif spec.method == "average_rank":
-        result = average_rank(m, tasks)
-    elif spec.method == "robust_average_rank":
-        result = robust_average_rank(m, tasks, spec.bin_width)
-    elif spec.method == "elimination_ranking":
-        return elimination_ranking(m, tasks)
-    else:  # pragma: no cover - guarded by AggregationSpec validation
-        raise ConfigError(f"unknown aggregation method {spec.method!r}")
-    return rank_models(result)
+    result = SCHEMES[spec.method](m, tasks, spec)
+    return result if isinstance(result, Ranking) else rank_models(result)
 
 
 # -- batched subset kernels -------------------------------------------------

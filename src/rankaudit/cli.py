@@ -22,7 +22,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .aggregate import METHODS, AggregationSpec, aggregate
@@ -35,13 +35,14 @@ from .errors import (
     SchemaError,
 )
 from .rankstats import (
+    SubsetAuditResult,
     aggregator_agreement,
     audit_to_dict,
     subset_tau_profile,
     top_k,
     unique_topk_audit,
 )
-from .report import Report, provenance_block, render_json, render_text, report_to_dict
+from .report import Report, provenance_block, render_json, render_text
 from .reuse import LADDER, NAIVE, boosting_attack, new_holdout
 from .scorebank import ScoreMatrix, human_normalize, load_matrix, load_metrics, orient
 from .significance import (
@@ -92,40 +93,73 @@ class AuditConfig:
             raise ConfigError(f"normalize must be none/orient/human, got {self.normalize!r}")
 
 
-def _spec_from_dict(raw: Mapping[str, Any]) -> AggregationSpec:
-    known = {"method", "bin_width", "weights", "groups"}
-    unknown = set(raw) - known
+def _config_value(doc: Mapping[str, Any], key: str, convert: Callable[[Any], Any],
+                  default: Any, where: str) -> Any:
+    """doc[key] passed through convert (default if absent or null).
+
+    A value convert rejects is a ConfigError that names the key.
+    """
+    if doc.get(key) is None:
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, AttributeError):
+        raise ConfigError(f"{where}: invalid value for {key!r}: {doc[key]!r}") from None
+
+
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _ints(value: Any) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return [int(v) for v in value]
+
+
+def _spec_from_dict(raw: Any, where: str) -> AggregationSpec:
+    if not isinstance(raw, dict):
+        raise TypeError("expected an object")
+    unknown = set(raw) - {"method", "bin_width", "weights", "groups"}
     if unknown:
         raise SchemaError(f"unknown aggregation key(s): {sorted(unknown)}")
     return AggregationSpec(
-        method=raw.get("method", "arithmetic_mean"),
-        bin_width=float(raw.get("bin_width", 1.0)),
-        weights=raw.get("weights"),
-        group_map=raw.get("groups"),
+        method=_config_value(raw, "method", _text, "arithmetic_mean", where),
+        bin_width=_config_value(raw, "bin_width", float, 1.0, where),
+        weights=_config_value(raw, "weights",
+                              lambda v: {t: float(w) for t, w in v.items()}, None, where),
+        group_map=_config_value(raw, "groups", lambda v: dict(v.items()), None, where),
     )
 
 
 def load_config(path: str) -> AuditConfig:
-    try:
-        doc = json.loads(Path(path).read_bytes())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path}: not valid JSON: {exc}") from None
+    where = f"config {path}"
+    doc = _parse_json(Path(path).read_bytes(), where)
     if not isinstance(doc, dict):
-        raise SchemaError(f"config {path}: must be a JSON object")
+        raise SchemaError(f"{where}: must be a JSON object")
     cfg = AuditConfig()
-    cfg.matrix_path = doc.get("matrix")
-    cfg.metrics_path = doc.get("metrics")
-    cfg.matrix_format = doc.get("matrix_format")
-    if "aggregation" in doc:
-        cfg.aggregation = _spec_from_dict(doc["aggregation"])
-    cfg.subset_sizes = [int(s) for s in doc.get("subset_sizes", [])]
-    if "ks" in doc:
-        cfg.ks = [int(k) for k in doc["ks"]]
-    cfg.output_dir = doc.get("out")
-    cfg.sampling_budget = int(doc.get("sampling_budget", DEFAULT_BUDGET))
-    cfg.seed = int(doc.get("seed", 0))
-    cfg.normalize = doc.get("normalize", "none")
+    cfg.matrix_path = _config_value(doc, "matrix", _text, None, where)
+    cfg.metrics_path = _config_value(doc, "metrics", _text, None, where)
+    cfg.matrix_format = _config_value(doc, "matrix_format", _text, None, where)
+    cfg.aggregation = _config_value(doc, "aggregation",
+                                    lambda raw: _spec_from_dict(raw, f"{where}: aggregation"),
+                                    cfg.aggregation, where)
+    cfg.subset_sizes = _config_value(doc, "subset_sizes", _ints, [], where)
+    cfg.ks = _config_value(doc, "ks", _ints, cfg.ks, where)
+    cfg.output_dir = _config_value(doc, "out", _text, None, where)
+    cfg.sampling_budget = _config_value(doc, "sampling_budget", int, DEFAULT_BUDGET, where)
+    cfg.seed = _config_value(doc, "seed", int, 0, where)
+    cfg.normalize = _config_value(doc, "normalize", _text, "none", where)
     return cfg
+
+
+def _parse_json(data: bytes, where: str) -> Any:
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{where}: not valid JSON: {exc}") from None
 
 
 # -- shared option plumbing ----------------------------------------------
@@ -143,7 +177,7 @@ def _add_common(parser: argparse.ArgumentParser, matrix: bool = True) -> None:
                             help="bucket width for robust_average_rank")
         parser.add_argument("--normalize", choices=["none", "orient", "human"], default=None,
                             help="preprocessing applied before aggregation")
-    parser.add_argument("--config", help="JSON config file (flags override it)")
+        parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--seed", type=int, default=None, help="root seed")
     parser.add_argument("--out", help="directory for output files")
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text",
@@ -152,13 +186,13 @@ def _add_common(parser: argparse.ArgumentParser, matrix: bool = True) -> None:
 
 def _build_config(args: argparse.Namespace) -> AuditConfig:
     cfg = load_config(args.config) if args.config else AuditConfig()
-    if getattr(args, "matrix", None):
+    if args.matrix:
         cfg.matrix_path = args.matrix
-    if getattr(args, "metrics", None):
+    if args.metrics:
         cfg.metrics_path = args.metrics
-    if getattr(args, "matrix_format", None):
+    if args.matrix_format:
         cfg.matrix_format = args.matrix_format
-    if getattr(args, "method", None) or getattr(args, "bin_width", None) is not None:
+    if args.method or args.bin_width is not None:
         base = cfg.aggregation
         cfg.aggregation = AggregationSpec(
             method=args.method or base.method,
@@ -176,7 +210,7 @@ def _build_config(args: argparse.Namespace) -> AuditConfig:
         cfg.seed = args.seed
     if args.out:
         cfg.output_dir = args.out
-    if getattr(args, "normalize", None):
+    if args.normalize:
         cfg.normalize = args.normalize
     return cfg
 
@@ -188,7 +222,12 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
 
 
-def _load_inputs(cfg: AuditConfig) -> tuple[ScoreMatrix, dict[str, bytes]]:
+def _prepare(args: argparse.Namespace) -> tuple[AuditConfig, ScoreMatrix, dict[str, bytes]]:
+    """Config, preprocessed matrix and raw input bytes of a matrix command.
+
+    Subset sizes default to every size from 1 to the task count.
+    """
+    cfg = _build_config(args)
     if not cfg.matrix_path:
         raise ConfigError("no score matrix given (use --matrix or the config file)")
     matrix_bytes = Path(cfg.matrix_path).read_bytes()
@@ -206,24 +245,32 @@ def _load_inputs(cfg: AuditConfig) -> tuple[ScoreMatrix, dict[str, bytes]]:
         m = orient(m)
     elif cfg.normalize == "human":
         m = human_normalize(m)
-    return m, inputs
+    cfg.subset_sizes = cfg.subset_sizes or list(range(1, m.n_tasks + 1))
+    cfg.validate(n_tasks=m.n_tasks)
+    return cfg, m, inputs
 
 
-def _emit(report: Report, args: argparse.Namespace, out_dir: str | None,
-          basename: str, csv_text: str | None = None) -> None:
+def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text: str,
+          csv_name: str | None = None, extra: Mapping[str, Any] | None = None) -> None:
+    """The one output writer: render each needed format once, write it to stdout and files.
+
+    With out_dir, every format goes to its file (`<basename>.txt`,
+    `<basename>.json`, and csv_name or `<basename>.csv`); `fmt` picks the
+    one that also goes to stdout, as the same string.  `extra` holds the
+    JSON-only top-level keys.
+    """
+    names = {"text": f"{basename}.txt", "json": f"{basename}.json",
+             "csv": csv_name or f"{basename}.csv"}
+    render = {"text": lambda: render_text(report),
+              "json": lambda: render_json(report, extra),
+              "csv": lambda: csv_text}
+    rendered = {f: render[f]() for f in (names if out_dir else [fmt])}
     if out_dir:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{basename}.json").write_text(render_json(report))
-        (directory / f"{basename}.txt").write_text(render_text(report))
-        if csv_text is not None:
-            (directory / f"{basename}.csv").write_text(csv_text)
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "csv":
-        sys.stdout.write(csv_text if csv_text is not None else "")
-    else:
-        sys.stdout.write(render_text(report))
+        for f, name in names.items():
+            (directory / name).write_text(rendered[f])
+    sys.stdout.write(rendered[fmt])
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -235,29 +282,37 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
+def _audit_curve(m: ScoreMatrix, cfg: AuditConfig,
+                 report: Report) -> tuple[list[SubsetAuditResult], str]:
+    """Run the sizes x ks audits and add their unique-count table to `report`.
+
+    Returns the audits and their `size,k,unique,total` CSV.
+    """
+    results = [unique_topk_audit(m, cfg.aggregation, size, k,
+                                 sampling_budget=cfg.sampling_budget, seed=cfg.seed)
+               for size in cfg.subset_sizes for k in cfg.ks]
+    report.add_table(
+        "Unique Top-k outcomes per subset size",
+        ["size", "k", "unique", "total", "exact"],
+        [[r.subset_size, r.k, r.unique_count, r.total_combinations,
+          "exact" if r.exact else "sampled"] for r in results],
+    )
+    csv_text = _csv_text(
+        ["size", "k", "unique", "total"],
+        [[r.subset_size, r.k, r.unique_count, r.total_combinations] for r in results],
+    )
+    return results, csv_text
+
+
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    m, inputs = _load_inputs(cfg)
-    sizes = cfg.subset_sizes or list(range(1, m.n_tasks + 1))
-    ks = cfg.ks
-    cfg.subset_sizes = sizes
-    cfg.validate(n_tasks=m.n_tasks)
-
-    results = []
-    for size in sizes:
-        for k in ks:
-            results.append(
-                unique_topk_audit(m, cfg.aggregation, size, k,
-                                  sampling_budget=cfg.sampling_budget, seed=cfg.seed)
-            )
-
+    cfg, m, inputs = _prepare(args)
     options = {
         "aggregation": cfg.aggregation.method,
-        "sizes": sizes,
-        "ks": ks,
+        "sizes": cfg.subset_sizes,
+        "ks": cfg.ks,
         "sampling_budget": cfg.sampling_budget,
         "normalize": cfg.normalize,
     }
@@ -265,45 +320,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
         title="Task-subset disagreement audit",
         provenance=provenance_block(__version__, cfg.seed, inputs, options),
     )
-    curve_rows = [[r.subset_size, r.k, r.unique_count, r.total_combinations] for r in results]
-    report.add_table(
-        "Unique Top-k outcomes per subset size",
-        ["size", "k", "unique", "total", "exact"],
-        [[r.subset_size, r.k, r.unique_count, r.total_combinations,
-          "exact" if r.exact else "sampled"] for r in results],
-    )
+    results, csv_text = _audit_curve(m, cfg, report)
     for r in results:
         rows = [["+".join(subset), tk.render()]
                 for subset, tk in sorted(r.per_subset_topk.items())]
         report.add_table(f"Top-{r.k} per subset of size {r.subset_size}",
                          ["tasks", f"top-{r.k}"], rows)
-
-    doc = report_to_dict(report)
-    doc["audits"] = [audit_to_dict(r) for r in results]
-    json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    csv_text = _csv_text(["size", "k", "unique", "total"], curve_rows)
-
-    out_dir = cfg.output_dir
-    text = render_text(report) if out_dir or args.format == "text" else ""
-    if out_dir:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "audit.json").write_text(json_text)
-        (directory / "audit_curve.csv").write_text(csv_text)
-        (directory / "audit.txt").write_text(text)
-    if args.format == "json":
-        sys.stdout.write(json_text)
-    elif args.format == "csv":
-        sys.stdout.write(csv_text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, args.format, cfg.output_dir, "audit", csv_text, "audit_curve.csv",
+          {"audits": [audit_to_dict(r) for r in results]})
     return 0
 
 
 def cmd_corr(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    m, inputs = _load_inputs(cfg)
-    cfg.validate(n_tasks=m.n_tasks)
+    cfg, m, inputs = _prepare(args)
     spec = cfg.aggregation
 
     per_task = subset_tau_profile(m, spec, [(t,) for t in m.task_ids])
@@ -355,14 +384,12 @@ def cmd_corr(args: argparse.Namespace) -> int:
     csv_rows += [["group", "+".join(subset), "" if tau is None else tau]
                  for subset, tau in per_group.items()]
     csv_text = _csv_text(["kind", "subset", "tau_b"], csv_rows)
-    _emit(report, args, cfg.output_dir, "corr", csv_text)
+    _emit(report, args.format, cfg.output_dir, "corr", csv_text)
     return 0
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    m, inputs = _load_inputs(cfg)
-    cfg.validate(n_tasks=m.n_tasks)
+    cfg, m, inputs = _prepare(args)
     subset = tuple(args.subset.split(",")) if args.subset else None
     ranking = aggregate(m, subset, cfg.aggregation)
     k = args.topk if args.topk is not None else ranking.n_models
@@ -381,16 +408,13 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     report.add_table("Ranking (rank 1 = best)", ["rank", "model"], order_rows)
     report.add_kv(f"Top-{k}", {"models": tk.render()})
     csv_text = _csv_text(["rank", "model"], order_rows)
-    _emit(report, args, cfg.output_dir, "ranking", csv_text)
+    _emit(report, args.format, cfg.output_dir, "ranking", csv_text)
     return 0
 
 
 def _load_replicates(path: str) -> tuple[dict[str, list[float]], dict[str, list[float]], bytes]:
     data = Path(path).read_bytes()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"replicates {path}: not valid JSON: {exc}") from None
+    doc = _parse_json(data, f"replicates {path}")
     if not isinstance(doc, dict) or not isinstance(doc.get("datasets"), dict):
         raise SchemaError('replicate file must be {"datasets": {id: {"A": [...], "B": [...]}}}')
     reps_a: dict[str, list[float]] = {}
@@ -398,11 +422,13 @@ def _load_replicates(path: str) -> tuple[dict[str, list[float]], dict[str, list[
     for dataset, entry in doc["datasets"].items():
         if not isinstance(entry, dict) or "A" not in entry or "B" not in entry:
             raise SchemaError(f"dataset {dataset!r} must provide 'A' and 'B' replicate lists")
-        try:
-            reps_a[dataset] = [float(x) for x in entry["A"]]
-            reps_b[dataset] = [float(x) for x in entry["B"]]
-        except (TypeError, ValueError):
-            raise ParseError(f"dataset {dataset!r}: replicates must be numeric") from None
+        for side, reps in (("A", reps_a), ("B", reps_b)):
+            if not isinstance(entry[side], list) or not entry[side]:
+                raise SchemaError(f"dataset {dataset!r}: {side!r} must be a non-empty list")
+            try:
+                reps[dataset] = [float(x) for x in entry[side]]
+            except (TypeError, ValueError):
+                raise ParseError(f"dataset {dataset!r}: replicates must be numeric") from None
     if not reps_a:
         raise SchemaError("replicate file contains no datasets")
     return reps_a, reps_b, data
@@ -468,11 +494,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "verdict": verdict,
             },
         )
+    dataset_rows = [[t.label, t.statistic, t.p_value, t.exact, flag]
+                    for t, flag in zip(dataset_tests, rejected)]
     report.add_table(
         f"Per-dataset permutation tests ({args.correction}-corrected at alpha={alpha})",
         ["dataset", "mean_diff_b_minus_a", "p_value", "exact", "rejected"],
-        [[t.label, t.statistic, t.p_value, t.exact, flag]
-         for t, flag in zip(dataset_tests, rejected)],
+        dataset_rows,
     )
     report.add_kv(
         "Per-dataset verdict (better on all datasets)",
@@ -485,8 +512,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     report.add_kv("Bootstrap P(A <= B)", {"estimate": p_le, "seed": seed})
 
-    doc = report_to_dict(report)
-    doc["tests"] = {
+    tests = {
         "wilcoxon": None if wilcoxon is None else wilcoxon.to_dict(),
         "per_dataset": [
             {**t.to_dict(), "rejected": flag}
@@ -494,25 +520,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ],
         "prob_a_le_b": {"estimate": p_le, "seed": seed},
     }
-    json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    csv_text = _csv_text(
-        ["dataset", "mean_diff", "p_value", "exact", "rejected"],
-        [[t.label, t.statistic, t.p_value, t.exact, flag]
-         for t, flag in zip(dataset_tests, rejected)],
-    )
-    out_dir = args.out
-    if out_dir:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "compare.json").write_text(json_text)
-        (directory / "compare.txt").write_text(render_text(report))
-        (directory / "compare.csv").write_text(csv_text)
-    if args.format == "json":
-        sys.stdout.write(json_text)
-    elif args.format == "csv":
-        sys.stdout.write(csv_text)
-    else:
-        sys.stdout.write(render_text(report))
+    csv_text = _csv_text(["dataset", "mean_diff", "p_value", "exact", "rejected"], dataset_rows)
+    _emit(report, args.format, args.out, "compare", csv_text, extra={"tests": tests})
     return 0
 
 
@@ -566,40 +575,17 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
         summary_rows,
     )
     csv_text = _csv_text(["trial", "i", "mechanism", "reported", "true", "bound"], rows)
-
-    out_dir = args.out
-    if out_dir:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "reuse.json").write_text(render_json(report))
-        (directory / "reuse.txt").write_text(render_text(report))
-        (directory / "reuse_trials.csv").write_text(csv_text)
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "csv":
-        sys.stdout.write(csv_text)
-    else:
-        sys.stdout.write(render_text(report))
+    _emit(report, args.format, args.out, "reuse", csv_text, "reuse_trials.csv")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    m, inputs = _load_inputs(cfg)
-    sizes = cfg.subset_sizes or list(range(1, m.n_tasks + 1))
-    cfg.subset_sizes = sizes
-    cfg.validate(n_tasks=m.n_tasks)
+    cfg, m, inputs = _prepare(args)
     spec = cfg.aggregation
-
     ranking = aggregate(m, None, spec)
-    audits = [unique_topk_audit(m, spec, size, k,
-                                sampling_budget=cfg.sampling_budget, seed=cfg.seed)
-              for size in sizes for k in cfg.ks]
-    per_task = subset_tau_profile(m, spec, [(t,) for t in m.task_ids])
-
     options = {
         "aggregation": spec.method,
-        "sizes": sizes,
+        "sizes": cfg.subset_sizes,
         "ks": cfg.ks,
         "normalize": cfg.normalize,
     }
@@ -609,22 +595,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     report.add_table("Full-benchmark ranking", ["rank", "model"],
                      [[ranking.entries[mid], mid] for mid in ranking.order()])
-    report.add_table(
-        "Unique Top-k outcomes per subset size",
-        ["size", "k", "unique", "total", "exact"],
-        [[r.subset_size, r.k, r.unique_count, r.total_combinations,
-          "exact" if r.exact else "sampled"] for r in audits],
-    )
+    _, csv_text = _audit_curve(m, cfg, report)
+    per_task = subset_tau_profile(m, spec, [(t,) for t in m.task_ids])
     report.add_table(
         "Per-task tau-b vs. full ranking",
         ["task", "tau_b"],
         [[t, "undefined" if tau is None else tau] for (t,), tau in per_task.items()],
     )
-    csv_text = _csv_text(
-        ["size", "k", "unique", "total"],
-        [[r.subset_size, r.k, r.unique_count, r.total_combinations] for r in audits],
-    )
-    _emit(report, args, cfg.output_dir, "report", csv_text)
+    _emit(report, args.format, cfg.output_dir, "report", csv_text)
     return 0
 
 
@@ -692,10 +670,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"rankaudit: input error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"rankaudit: input error: {exc}", file=sys.stderr)
         return 2
     except AuditError as exc:

@@ -102,5 +102,7 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def render_json(report: Report) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+def render_json(report: Report, extra: Mapping[str, Any] | None = None) -> str:
+    """Canonical JSON of the report plus `extra` top-level keys (e.g. raw results)."""
+    doc = {**report_to_dict(report), **(extra or {})}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -244,13 +244,12 @@ def human_normalize(m: ScoreMatrix) -> NormalizedMatrix:
 # -- ingestion ----------------------------------------------------------
 
 
-def _as_text(source: bytes | str | IO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+def _as_text(source: bytes | str | IO, what: str) -> str:
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    try:
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
 def parse_metric_spec(task_id: str, raw: Mapping[str, object]) -> MetricSpec:
@@ -274,7 +273,7 @@ def parse_metric_spec(task_id: str, raw: Mapping[str, object]) -> MetricSpec:
 def load_metrics(source: bytes | str | IO) -> dict[str, MetricSpec]:
     """Parse a sidecar metric-metadata JSON: {"tasks": {task_id: {...}}}."""
     try:
-        doc = json.loads(_as_text(source))
+        doc = json.loads(_as_text(source, "metric sidecar"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"metric sidecar is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), dict):
@@ -315,9 +314,9 @@ def load_matrix(
     (array of arrays, null = missing) and optional inline "metrics".
     """
     if format == "csv":
-        return _load_csv(_as_text(source), metrics)
+        return _load_csv(_as_text(source, "matrix stream"), metrics)
     if format == "json":
-        return _load_json(_as_text(source), metrics)
+        return _load_json(_as_text(source, "matrix stream"), metrics)
     raise ConfigError(f"unknown matrix format {format!r}")
 
 

@@ -264,6 +264,25 @@ def test_dispatch_tiny_bin_matches_average_rank():
     assert a.entries == b.entries
 
 
+def test_dispatch_passes_the_spec_to_each_scheme_in_method_order():
+    # every scheme, and each weighted one without weights, ranks this matrix differently
+    m = matrix([[0.9, 0.1, 0.5], [0.3, 0.9, 0.3], [0.2, 0.8, 0.8], [0.1, 0.9, 0.5]])
+    weights, groups = {"t2": 3.0}, {"t1": "a", "t2": "b", "t3": "b"}
+    expected = {
+        "arithmetic_mean": rank_models(arithmetic_mean(m, None, weights)),
+        "geometric_mean": rank_models(geometric_mean(m, None, weights)),
+        "median": rank_models(median_score(m)),
+        "macro_average": rank_models(macro_average(m, None, groups, weights)),
+        "average_rank": rank_models(average_rank(m)),
+        "robust_average_rank": rank_models(robust_average_rank(m, None, 0.3)),
+        "elimination_ranking": elimination_ranking(m),
+    }
+    assert METHODS == tuple(expected)
+    for method, ranking in expected.items():
+        spec = AggregationSpec(method, bin_width=0.3, group_map=groups, weights=weights)
+        assert aggregate(m, None, spec) == ranking
+
+
 def test_dispatch_auto_orients_lower_better_tasks():
     m = matrix([[1.0], [3.0]], metrics={"t1": MetricSpec(direction=LOWER)})
     r = aggregate(m, None, AggregationSpec("arithmetic_mean"))

@@ -1,9 +1,11 @@
 import json
+from datetime import datetime, timedelta, timezone
 from math import comb
 
 import numpy as np
 import pytest
 
+import rankaudit.report
 from rankaudit.cli import main
 from rankaudit.fixtures import fixture_path
 
@@ -380,7 +382,101 @@ def test_report_combined_sections(capsys):
     assert "inputs" in doc["provenance"]
 
 
+# -- output layer --------------------------------------------------------------------
+
+
+class _TickingClock:
+    """Stands in for report.datetime: every now() is one second later."""
+
+    def __init__(self):
+        self.t = datetime(2021, 7, 15, tzinfo=timezone.utc)
+
+    def now(self, tz=None):
+        self.t += timedelta(seconds=1)
+        return self.t
+
+
+OUTPUTS = {
+    "audit": (["--matrix", MATRIX, "--sizes", "1,2", "--ks", "1,3"],
+              {"text": "audit.txt", "json": "audit.json", "csv": "audit_curve.csv"}),
+    "corr": (["--matrix", MATRIX, "--metrics", METRICS],
+             {"text": "corr.txt", "json": "corr.json", "csv": "corr.csv"}),
+    "aggregate": (["--matrix", MATRIX, "--topk", "3"],
+                  {"text": "ranking.txt", "json": "ranking.json", "csv": "ranking.csv"}),
+    "compare": (None,
+                {"text": "compare.txt", "json": "compare.json", "csv": "compare.csv"}),
+    "simulate-reuse": (["--n", "100", "--i-schedule", "10,20", "--trials", "2"],
+                       {"text": "reuse.txt", "json": "reuse.json", "csv": "reuse_trials.csv"}),
+    "report": (["--matrix", MATRIX, "--sizes", "1,5", "--ks", "3"],
+               {"text": "report.txt", "json": "report.json", "csv": "report.csv"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", list(OUTPUTS))
+def test_stdout_is_the_written_file(command, fmt, tmp_path, capsys, monkeypatch,
+                                    replicates_file):
+    monkeypatch.setattr(rankaudit.report, "datetime", _TickingClock())
+    argv, files = OUTPUTS[command]
+    argv = argv or ["--replicates", replicates_file, "--bootstrap-n", "1000"]
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, command, *argv, "--out", str(out), "--format", fmt)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(files.values())
+    assert (out / files[fmt]).read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("argv", [["compare", "--replicates", "r.json"],
+                                  ["simulate-reuse", "--n", "100", "--i-schedule", "10"]])
+def test_config_flag_only_on_matrix_commands(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", "cfg.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 # -- exit codes ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"seed": "abc"}, "'seed'"),
+    ({"ks": ["x"]}, "'ks'"),
+    ({"subset_sizes": 5}, "'subset_sizes'"),
+    ({"aggregation": 5}, "'aggregation'"),
+    ({"aggregation": {"bin_width": "x"}}, "'bin_width'"),
+    ({"aggregation": {"weights": {"a": "z"}}}, "'weights'"),
+])
+def test_exit_code_2_for_malformed_config_value(bad, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": MATRIX, **bad}))
+    code, _, err = run(capsys, "audit", "--config", str(cfg))
+    assert code == 2
+    assert "input error" in err and key in err
+
+
+@pytest.mark.parametrize("entry", [{"A": [0.5, 0.6], "B": []}, {"A": "12", "B": [0.5, 0.6]}])
+def test_exit_code_2_for_bad_replicate_list(entry, tmp_path, capsys):
+    path = tmp_path / "reps.json"
+    path.write_text(json.dumps({"datasets": {"d7": entry}}))
+    code, _, err = run(capsys, "compare", "--replicates", str(path))
+    assert code == 2
+    assert "'d7'" in err
+
+
+@pytest.mark.parametrize("which", ["matrix", "metrics", "config"])
+def test_exit_code_2_for_non_utf8_input(which, tmp_path, capsys):
+    files = {"matrix": b"model,t1\na,1\n", "metrics": b'{"tasks": {"t1": {}}}',
+             "config": b'{"normalize": "none"}'}
+    # well-formed apart from one byte that is not UTF-8
+    files[which] = {"matrix": b"model,t\x80\na,1\n", "metrics": b'{"tasks": {"t\x80": {}}}',
+                    "config": b'{"normalize": "n\x80ne"}'}[which]
+    paths = {name: tmp_path / name for name in files}
+    for name, data in files.items():
+        paths[name].write_bytes(data)
+    code, _, err = run(capsys, "aggregate", "--matrix", str(paths["matrix"]),
+                       "--metrics", str(paths["metrics"]), "--config", str(paths["config"]))
+    assert code == 2
+    assert "input error" in err and "utf-8" in err.lower()
 
 
 def test_matrix_format_flag_overrides_extension(tmp_path, capsys):
