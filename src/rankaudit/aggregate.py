@@ -77,12 +77,15 @@ def _check_subset(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ..
     return tasks
 
 
-def _require_oriented(m: ScoreMatrix, tasks: Sequence[str]) -> None:
+def _oriented_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ...]:
+    """The prologue of every scheme: the checked subset, all higher-is-better."""
+    tasks = _check_subset(m, subset)
     for t in tasks:
         if m.metrics[t].direction != HIGHER:
             raise ConfigError(
                 f"task {t!r} is lower-is-better; orient() the matrix before aggregating"
             )
+    return tasks
 
 
 def _resolve_weights(
@@ -114,8 +117,7 @@ def arithmetic_mean(
     weights: Mapping[str, float] | None = None,
 ) -> AggregateResult:
     """Per-model weighted mean over the subset."""
-    tasks = _check_subset(m, subset)
-    _require_oriented(m, tasks)
+    tasks = _oriented_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
     total_w = _fsum(w, "task weights")
     arr = m.to_array(tasks)
@@ -132,8 +134,7 @@ def geometric_mean(
     weights: Mapping[str, float] | None = None,
 ) -> AggregateResult:
     """exp of the weighted mean of logs; every selected score must be > 0."""
-    tasks = _check_subset(m, subset)
-    _require_oriented(m, tasks)
+    tasks = _oriented_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
     total_w = _fsum(w, "task weights")
     arr = m.to_array(tasks)
@@ -153,8 +154,7 @@ def geometric_mean(
 
 def median_score(m: ScoreMatrix, subset: Sequence[str] | None = None) -> AggregateResult:
     """Per-model median over the subset (even count: mean of the two central values)."""
-    tasks = _check_subset(m, subset)
-    _require_oriented(m, tasks)
+    tasks = _oriented_tasks(m, subset)
     arr = m.to_array(tasks)
     values = {}
     for mid, row in zip(m.model_ids, arr):
@@ -178,8 +178,7 @@ def macro_average(
     Groups come from `group_map` where given, falling back to the task's
     metric metadata; a selected task without a group is an error.
     """
-    tasks = _check_subset(m, subset)
-    _require_oriented(m, tasks)
+    tasks = _oriented_tasks(m, subset)
     groups: dict[str, list[str]] = {}
     for t in tasks:
         g = None
@@ -207,14 +206,16 @@ def macro_average(
 
 def average_rank(m: ScoreMatrix, subset: Sequence[str] | None = None) -> AggregateResult:
     """Rank models per task (1 = best, ties share the average rank), then mean."""
-    tasks = _check_subset(m, subset)
-    _require_oriented(m, tasks)
-    arr = m.to_array(tasks)
+    return _mean_rank(m, m.to_array(_oriented_tasks(m, subset)))
+
+
+def _mean_rank(m: ScoreMatrix, arr: np.ndarray) -> AggregateResult:
+    """Per-model mean of its fractional rank (1 = best) over the columns of arr."""
     totals = [0.0] * m.n_models
-    for j in range(len(tasks)):
-        for i, r in enumerate(fractional_ranks(arr[:, j].tolist(), descending=True)):
+    for col in arr.T.tolist():
+        for i, r in enumerate(fractional_ranks(col, descending=True)):
             totals[i] += r
-    values = {mid: totals[i] / len(tasks) for i, mid in enumerate(m.model_ids)}
+    values = {mid: totals[i] / arr.shape[1] for i, mid in enumerate(m.model_ids)}
     return AggregateResult(values, higher_is_better=False)
 
 
@@ -230,16 +231,7 @@ def robust_average_rank(
     """
     if not (bin_width > 0):
         raise ConfigError(f"bin_width must be positive, got {bin_width}")
-    tasks = _check_subset(m, subset)
-    _require_oriented(m, tasks)
-    arr = m.to_array(tasks)
-    totals = [0.0] * m.n_models
-    for j in range(len(tasks)):
-        binned = [float(math.floor(x / bin_width)) for x in arr[:, j]]
-        for i, r in enumerate(fractional_ranks(binned, descending=True)):
-            totals[i] += r
-    values = {mid: totals[i] / len(tasks) for i, mid in enumerate(m.model_ids)}
-    return AggregateResult(values, higher_is_better=False)
+    return _mean_rank(m, np.floor(m.to_array(_oriented_tasks(m, subset)) / bin_width))
 
 
 def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> Ranking:
@@ -254,8 +246,7 @@ def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> 
     the remaining models tie.  Votes are exact rationals, so outcomes do
     not depend on summation order.
     """
-    tasks = _check_subset(m, subset)
-    _require_oriented(m, tasks)
+    tasks = _oriented_tasks(m, subset)
     arr = m.to_array(tasks)
     score = {
         mid: {t: arr[i, j] for j, t in enumerate(tasks)}

@@ -35,6 +35,7 @@ from .errors import (
     SchemaError,
 )
 from .rankstats import (
+    DEFAULT_SAMPLING_BUDGET,
     SubsetAuditResult,
     aggregator_agreement,
     audit_to_dict,
@@ -56,8 +57,6 @@ from .significance import (
 )
 from .util import derive_seed
 
-DEFAULT_BUDGET = 10**6
-
 
 @dataclass
 class AuditConfig:
@@ -76,7 +75,7 @@ class AuditConfig:
     subset_sizes: list[int] = field(default_factory=list)
     ks: list[int] = field(default_factory=lambda: [1, 3, 5, 10])
     output_dir: str | None = None
-    sampling_budget: int = DEFAULT_BUDGET
+    sampling_budget: int = DEFAULT_SAMPLING_BUDGET
     seed: int = 0
     normalize: str = "none"
 
@@ -113,10 +112,17 @@ def _text(value: Any) -> str:
     return value
 
 
+def _int(value: Any) -> int:
+    """A JSON integer: booleans, other numbers and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
 def _ints(value: Any) -> list[int]:
     if not isinstance(value, list):
         raise TypeError("expected a list")
-    return [int(v) for v in value]
+    return [_int(v) for v in value]
 
 
 def _spec_from_dict(raw: Any, where: str) -> AggregationSpec:
@@ -149,8 +155,9 @@ def load_config(path: str) -> AuditConfig:
     cfg.subset_sizes = _config_value(doc, "subset_sizes", _ints, [], where)
     cfg.ks = _config_value(doc, "ks", _ints, cfg.ks, where)
     cfg.output_dir = _config_value(doc, "out", _text, None, where)
-    cfg.sampling_budget = _config_value(doc, "sampling_budget", int, DEFAULT_BUDGET, where)
-    cfg.seed = _config_value(doc, "seed", int, 0, where)
+    cfg.sampling_budget = _config_value(doc, "sampling_budget", _int, DEFAULT_SAMPLING_BUDGET,
+                                        where)
+    cfg.seed = _config_value(doc, "seed", _int, 0, where)
     cfg.normalize = _config_value(doc, "normalize", _text, "none", where)
     return cfg
 

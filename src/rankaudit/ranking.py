@@ -166,7 +166,10 @@ def kendall_tau_b(a: Ranking, b: Ranking) -> float:
     if n0 == n1 or n0 == n2:
         raise UndefinedCorrelationError("tau-b undefined: one side is entirely tied")
     order = sorted(range(n), key=lambda i: (ra[i], rb[i]))
-    nd = _discordant_pairs([rb[i] for i in order])
+    # With the b ranks sorted by (a, b), equal-a runs arrive sorted by b and
+    # contribute no strict b-inversions, and pairs tied in b never invert;
+    # every remaining strict inversion is exactly one discordant pair.
+    nd = _count_strict_inversions([rb[i] for i in order])
     n3 = _joint_tie_term(ra, rb)
     nc = n0 - n1 - n2 + n3 - nd
     return (nc - nd) / ((n0 - n1) ** 0.5 * (n0 - n2) ** 0.5)
@@ -184,16 +187,6 @@ def _joint_tie_term(ra: Sequence[float], rb: Sequence[float]) -> int:
     for pair in zip(ra, rb):
         counts[pair] = counts.get(pair, 0) + 1
     return sum(c * (c - 1) // 2 for c in counts.values())
-
-
-def _discordant_pairs(b_sorted_by_a: list[float]) -> int:
-    """Count discordant pairs given the b ranks sorted by (a, b).
-
-    Equal-a runs arrive sorted by b, so they contribute no strict
-    b-inversions, and pairs tied in b never invert; every remaining
-    strict inversion is exactly one discordant pair.
-    """
-    return _count_strict_inversions(list(b_sorted_by_a))
 
 
 def _count_strict_inversions(seq: list[float]) -> int:

@@ -30,7 +30,7 @@ from .ranking import (
     top_k,
     top_k_of_groups,
 )
-from .scorebank import ScoreMatrix, oriented_array
+from .scorebank import HIGHER, ScoreMatrix, orient, oriented_array
 from .util import derive_seed
 
 __all__ = [
@@ -95,19 +95,27 @@ def _sampled_subsets(
     return [tuple(tasks[i] for i in pick) for pick in sorted(seen)]
 
 
+def _oriented(m: ScoreMatrix) -> ScoreMatrix:
+    """m with every task higher-is-better, so `aggregate` never re-orients it."""
+    if any(spec.direction != HIGHER for spec in m.metrics.values()):
+        return orient(m)
+    return m
+
+
 def _subset_topks(
     m: ScoreMatrix, spec: AggregationSpec, subsets: Sequence[tuple[str, ...]], k: int
 ) -> Iterator[TopK]:
     """Top-k of every subset in order, batched where `spec` has a kernel.
 
-    The matrix is oriented and densified once and each chunk of subsets is
-    scored in one kernel call.  A subset is settled by the scalar
-    `aggregate` instead when it touches a missing cell, where that call
-    raises the scalar path's MissingScoreError, or when a float kernel
-    cannot certify the order of its top min(k + 1, n) keys.  Certified
-    keys are then strictly ordered, so ranking them by plain equality
-    gives the scalar path's Top-k.
+    The matrix is oriented once and each chunk of subsets is scored in one
+    kernel call.  A subset is settled by the scalar `aggregate` instead
+    when it touches a missing cell, where that call raises the scalar
+    path's MissingScoreError, or when a float kernel cannot certify the
+    order of its top min(k + 1, n) keys.  Certified keys are then strictly
+    ordered, so ranking them by plain equality gives the scalar path's
+    Top-k.
     """
+    m = _oriented(m)
     factory = BATCHED.get(spec.method)
     if factory is None:
         for subset in subsets:
@@ -203,6 +211,7 @@ def subset_tau_profile(
     A subset whose correlation is undefined (an entirely tied ranking)
     maps to None rather than aborting the profile.
     """
+    m = _oriented(m)
     full = aggregate(m, None, spec)
     out: dict[tuple[str, ...], float | None] = {}
     for subset in subsets:
@@ -221,6 +230,7 @@ def topk_table(
     k: int,
 ) -> list[tuple[tuple[str, ...], TopK]]:
     """Top-k per requested subset, in the order the subsets were given."""
+    m = _oriented(m)
     return [
         (tuple(subset), top_k(aggregate(m, tuple(subset), spec), k))
         for subset in subsets
@@ -235,6 +245,7 @@ def aggregator_agreement(
     """Symmetric tau-b matrix across the rankings of several schemes."""
     if len(specs) < 2:
         raise ConfigError("aggregator agreement needs at least two specs")
+    m = _oriented(m)
     rankings = [aggregate(m, subset, spec) for spec in specs]
     n = len(rankings)
     out = [[1.0] * n for _ in range(n)]

@@ -58,11 +58,9 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def render_text(report: Report, timestamp: bool = True) -> str:
-    lines = [report.title, "=" * len(report.title)]
-    if timestamp:
-        lines.append(f"generated: {datetime.now(timezone.utc).isoformat(timespec='seconds')}")
-    lines.append("")
+def render_text(report: Report) -> str:
+    lines = [report.title, "=" * len(report.title),
+             f"generated: {datetime.now(timezone.utc).isoformat(timespec='seconds')}", ""]
     for title, payload in report.sections:
         lines.append(title)
         lines.append("-" * len(title))

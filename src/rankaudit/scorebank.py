@@ -3,7 +3,10 @@
 A ScoreMatrix is the universal input of the package: a dense models x tasks
 table of optional scores plus per-task metric metadata (direction, group,
 weight, baselines).  Matrices are immutable after construction and safe to
-share across threads.
+share across threads.  Construction validates the cells and densifies them
+once, into a read-only float array and missing-cell mask; every later read
+(`to_array`, `oriented_array`, `missing_cells`, `orient`, `human_normalize`)
+works on that array and never walks the cells again.
 
 Missing scores are represented explicitly as None and are never imputed:
 any operation whose task subset touches a missing cell fails loudly,
@@ -83,9 +86,16 @@ class ScoreMatrix:
                 raise SchemaError(
                     f"model {mid!r}: expected {len(tasks)} cells, got {len(row)}"
                 )
-            for tid, cell in zip(tasks, row):
-                if cell is not None and not math.isfinite(cell):
-                    raise SchemaError(f"non-finite score for model {mid!r}, task {tid!r}")
+        shape = (len(models), len(tasks))
+        missing = np.equal(np.array(rows, dtype=object).reshape(shape), None)
+        values = np.array(rows, dtype=float).reshape(shape)  # None reads as NaN
+        bad = np.argwhere(~(np.isfinite(values) | missing))
+        if len(bad):
+            i, j = bad[0]
+            raise SchemaError(f"non-finite score for model {models[i]!r}, task {tasks[j]!r}")
+        values[missing] = 0.0
+        values.flags.writeable = False
+        missing.flags.writeable = False
         metrics = dict(self.metrics)
         unknown = set(metrics) - set(tasks)
         if unknown:
@@ -95,6 +105,10 @@ class ScoreMatrix:
         object.__setattr__(self, "task_ids", tasks)
         object.__setattr__(self, "scores", rows)
         object.__setattr__(self, "metrics", full)
+        # The cells as floats (0.0 where missing) and the missing-cell mask,
+        # both read-only: every array handed out is a copy.
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_missing", missing)
 
     # -- access helpers -------------------------------------------------
 
@@ -130,25 +144,17 @@ class ScoreMatrix:
         """
         tasks = self.task_ids if subset is None else tuple(subset)
         cols = [self.task_index(t) for t in tasks]
-        out = np.empty((self.n_models, len(cols)), dtype=float)
-        for i, row in enumerate(self.scores):
-            for k, j in enumerate(cols):
-                cell = row[j]
-                if cell is None:
-                    raise MissingScoreError(
-                        f"missing score for model {self.model_ids[i]!r}, "
-                        f"task {self.task_ids[j]!r}"
-                    )
-                out[i, k] = cell
-        return out
+        gaps = np.argwhere(self._missing[:, cols])
+        if len(gaps):
+            i, k = gaps[0]
+            raise MissingScoreError(
+                f"missing score for model {self.model_ids[i]!r}, task {tasks[k]!r}"
+            )
+        return self._values[:, cols]
 
     def missing_cells(self) -> list[tuple[str, str]]:
-        return [
-            (mid, tid)
-            for mid, row in zip(self.model_ids, self.scores)
-            for tid, cell in zip(self.task_ids, row)
-            if cell is None
-        ]
+        return [(self.model_ids[i], self.task_ids[j])
+                for i, j in np.argwhere(self._missing).tolist()]
 
 
 class NormalizedMatrix(ScoreMatrix):
@@ -168,18 +174,10 @@ def orient(m: ScoreMatrix) -> NormalizedMatrix:
     human-normalization commutes with orientation.  Higher-is-better
     columns pass through unchanged.
     """
-    flip = [m.metrics[t].direction == LOWER for t in m.task_ids]
-    rows = tuple(
-        tuple(
-            None if cell is None else (-cell if flip[j] else cell)
-            for j, cell in enumerate(row)
-        )
-        for row in m.scores
-    )
     metrics = {}
-    for j, tid in enumerate(m.task_ids):
+    for tid in m.task_ids:
         spec = m.metrics[tid]
-        if flip[j]:
+        if spec.direction == LOWER:
             spec = replace(
                 spec,
                 direction=HIGHER,
@@ -187,7 +185,7 @@ def orient(m: ScoreMatrix) -> NormalizedMatrix:
                 human_reference=None if spec.human_reference is None else -spec.human_reference,
             )
         metrics[tid] = spec
-    return NormalizedMatrix(m.model_ids, m.task_ids, rows, metrics)
+    return _normalized(m, oriented_array(m)[0], metrics)
 
 
 def oriented_array(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -195,15 +193,10 @@ def oriented_array(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Lower-is-better columns are negated as `orient` does.  Missing cells
     hold 0.0 in the array and True in the mask; callers that read them
-    must check the mask first.
+    must check the mask first.  Both arrays are fresh copies.
     """
-    shape = (m.n_models, m.n_tasks)
-    missing = np.array([[c is None for c in row] for row in m.scores], dtype=bool).reshape(shape)
-    x = np.array([[0.0 if c is None else c for c in row] for row in m.scores],
-                 dtype=float).reshape(shape)
-    flip = np.array([m.metrics[t].direction == LOWER for t in m.task_ids])
-    x[:, flip] = -x[:, flip]
-    return x, missing
+    flip = np.array([m.metrics[t].direction == LOWER for t in m.task_ids], dtype=bool)
+    return np.where(flip, -m._values, m._values), m._missing.copy()
 
 
 def human_normalize(m: ScoreMatrix) -> NormalizedMatrix:
@@ -221,24 +214,27 @@ def human_normalize(m: ScoreMatrix) -> NormalizedMatrix:
             raise ConfigError(
                 f"task {tid!r} lacks random_baseline/human_reference needed for normalization"
             )
-    rows = []
-    for row in m.scores:
-        out_row = []
-        for tid, cell in zip(m.task_ids, row):
-            spec = m.metrics[tid]
-            if cell is None:
-                out_row.append(None)
-            else:
-                rb, hr = spec.random_baseline, spec.human_reference
-                out_row.append((cell - rb) / (hr - rb))
-        rows.append(tuple(out_row))
+    rb = np.array([m.metrics[t].random_baseline for t in m.task_ids], dtype=float)
+    hr = np.array([m.metrics[t].human_reference for t in m.task_ids], dtype=float)
+    # A score that overflows becomes inf or NaN here, which the
+    # NormalizedMatrix rejects as a non-finite score.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (m._values - rb) / (hr - rb)
     metrics = {
         tid: replace(
             m.metrics[tid], direction=HIGHER, random_baseline=0.0, human_reference=1.0
         )
         for tid in m.task_ids
     }
-    return NormalizedMatrix(m.model_ids, m.task_ids, tuple(rows), metrics)
+    return _normalized(m, x, metrics)
+
+
+def _normalized(m: ScoreMatrix, x: np.ndarray,
+                metrics: Mapping[str, MetricSpec]) -> NormalizedMatrix:
+    """m's models and tasks with the cells of x, missing where m's are."""
+    cells = x.astype(object)
+    cells[m._missing] = None
+    return NormalizedMatrix(m.model_ids, m.task_ids, tuple(map(tuple, cells.tolist())), metrics)
 
 
 # -- ingestion ----------------------------------------------------------
@@ -362,6 +358,9 @@ def _load_json(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatr
     for key in ("models", "tasks", "scores"):
         if key not in doc:
             raise SchemaError(f"JSON matrix lacks {key!r}")
+    for key in ("models", "tasks"):
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"{key!r} must be an array")
     model_ids = tuple(str(m) for m in doc["models"])
     task_ids = tuple(str(t) for t in doc["tasks"])
     raw_scores = doc["scores"]

@@ -445,6 +445,10 @@ def test_config_flag_only_on_matrix_commands(argv, capsys):
     ({"aggregation": 5}, "'aggregation'"),
     ({"aggregation": {"bin_width": "x"}}, "'bin_width'"),
     ({"aggregation": {"weights": {"a": "z"}}}, "'weights'"),
+    ({"ks": [1.9]}, "'ks'"),
+    ({"seed": True}, "'seed'"),
+    ({"sampling_budget": 2.5}, "'sampling_budget'"),
+    ({"subset_sizes": [True]}, "'subset_sizes'"),
 ])
 def test_exit_code_2_for_malformed_config_value(bad, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -508,6 +512,18 @@ def test_exit_code_2_for_bad_header(tmp_path, capsys):
     code, _, err = run(capsys, "audit", "--matrix", str(bad))
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"models": "ab", "tasks": ["t1"], "scores": [[1.0], [2.0]]}, "'models'"),
+    ({"models": ["a"], "tasks": 5, "scores": [[1.0]]}, "'tasks'"),
+])
+def test_exit_code_2_for_json_matrix_ids_not_arrays(doc, key, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "aggregate", "--matrix", str(path))
+    assert code == 2
+    assert "input error" in err and key in err
 
 
 def test_exit_code_2_for_bad_cell(tmp_path, capsys):

@@ -207,13 +207,52 @@ def test_orient_preserves_missing():
     assert out.column("t1") == (None, -2.0)
 
 
-@given(matrices())
+def _first_missing(m, tasks):
+    """(model, task) of the first missing cell in row-major order over `tasks`, or None."""
+    return next(((mid, t) for mid in m.model_ids for t in tasks
+                 if m.value(mid, t) is None), None)
+
+
+@given(matrices(with_baselines=True))
 def test_oriented_array_matches_orient_and_marks_missing(m):
-    x, missing = oriented_array(m)
-    oriented = orient(m)
-    assert missing.tolist() == [[c is None for c in row] for row in m.scores]
-    assert [[None if gap else v for v, gap in zip(xr, mr)]
-            for xr, mr in zip(x.tolist(), missing.tolist())] == [list(r) for r in oriented.scores]
+    # Per-cell oracle for every reader of the one stored array.
+    rows = [list(row) for row in m.scores]
+    sign = [-1.0 if m.metrics[t].direction == LOWER else 1.0 for t in m.task_ids]
+    oriented = [[None if c is None else s * c for s, c in zip(sign, row)] for row in rows]
+    spec = [m.metrics[t] for t in m.task_ids]
+    normalized = [[None if c is None else
+                   (c - p.random_baseline) / (p.human_reference - p.random_baseline)
+                   for p, c in zip(spec, row)] for row in rows]
+    missing = [[c is None for c in row] for row in rows]
+    subsets = [None, m.task_ids[::-1], *[(t,) for t in m.task_ids]]
+
+    def check():
+        x, gap = oriented_array(m)
+        assert gap.tolist() == missing
+        assert [[None if g else v for v, g in zip(xr, gr)]
+                for xr, gr in zip(x.tolist(), gap.tolist())] == oriented
+        assert [list(r) for r in orient(m).scores] == oriented
+        assert [list(r) for r in human_normalize(m).scores] == normalized
+        assert m.missing_cells() == [(mid, t) for mid, row in zip(m.model_ids, rows)
+                                     for t, c in zip(m.task_ids, row) if c is None]
+        arrays = [x, gap]
+        for subset in subsets:
+            tasks = m.task_ids if subset is None else subset
+            first = _first_missing(m, tasks)
+            if first is None:
+                arrays.append(m.to_array(subset))
+                assert arrays[-1].tolist() == [[m.value(mid, t) for t in tasks]
+                                               for mid in m.model_ids]
+            else:
+                with pytest.raises(MissingScoreError,
+                                   match=f"model {first[0]!r}, task {first[1]!r}$"):
+                    m.to_array(subset)
+        return arrays
+
+    # Writing to a returned array never changes the matrix.
+    for arr in check():
+        arr[...] = 7
+    check()
 
 
 # -- human normalization -----------------------------------------------------

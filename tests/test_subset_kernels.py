@@ -9,6 +9,7 @@ duplicated rows, tenths whose float sums depend on order, and cells moved
 one ulp with np.nextafter.
 """
 
+import importlib
 from math import comb
 
 import numpy as np
@@ -22,7 +23,7 @@ from rankaudit.cli import main
 from rankaudit.errors import DomainError, MissingScoreError
 from rankaudit.ranking import top_k
 from rankaudit.rankstats import enumerate_subsets, unique_topk_audit
-from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix
+from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix, orient
 
 
 def build(rows, metrics=None):
@@ -121,6 +122,26 @@ def test_separated_means_and_rank_kernels_stay_batched(scalar_calls):
             result = unique_topk_audit(matrix, spec, 3, 5)
             assert result.per_subset_topk == oracle(matrix, spec, list(result.per_subset_topk), 5)
     assert scalar_calls == []
+
+
+def test_scalar_audit_orients_once(monkeypatch):
+    # macro_average has no kernel, so every subset goes through `aggregate`.
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return orient(m)
+
+    # The package attribute `rankaudit.aggregate` is the function, not the module.
+    monkeypatch.setattr(importlib.import_module("rankaudit.aggregate"), "orient", counting)
+    monkeypatch.setattr(rankstats, "orient", counting, raising=False)
+    m = build(np.random.default_rng(4).random((6, 5)), {"t1": MetricSpec(direction=LOWER)})
+    spec = AggregationSpec("macro_average", group_map={t: "g" for t in m.task_ids})
+    for size in (2, 3):
+        calls.clear()
+        result = unique_topk_audit(m, spec, size, 3)
+        assert len(calls) == 1
+        assert result.evaluated == comb(m.n_tasks, size)
 
 
 @pytest.mark.parametrize("method", METHODS)
