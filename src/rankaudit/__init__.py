@@ -45,6 +45,7 @@ from .reuse import (
     boosting_attack,
     new_holdout,
     query,
+    query_batch,
     reuse_bound,
 )
 from .scorebank import (

@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .ranking import Ranking, fractional_ranks, rank_models
 from .scorebank import HIGHER, ScoreMatrix, orient
+from .util import checked_fsum
 
 @dataclass(frozen=True)
 class AggregationSpec:
@@ -103,14 +104,6 @@ def _resolve_weights(
     return out
 
 
-def _fsum(terms: Iterable[float], where: str) -> float:
-    """Correctly rounded sum; a sum beyond the float range is a DomainError."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        raise DomainError(f"sum overflows the float range: {where}") from None
-
-
 def arithmetic_mean(
     m: ScoreMatrix,
     subset: Sequence[str] | None = None,
@@ -119,10 +112,10 @@ def arithmetic_mean(
     """Per-model weighted mean over the subset."""
     tasks = _oriented_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
-    total_w = _fsum(w, "task weights")
+    total_w = checked_fsum(w, "task weights")
     arr = m.to_array(tasks)
     values = {
-        mid: _fsum((wi * x for wi, x in zip(w, row.tolist())), f"model {mid!r}") / total_w
+        mid: checked_fsum((wi * x for wi, x in zip(w, row.tolist())), f"model {mid!r}") / total_w
         for mid, row in zip(m.model_ids, arr)
     }
     return AggregateResult(values, higher_is_better=True)
@@ -136,7 +129,7 @@ def geometric_mean(
     """exp of the weighted mean of logs; every selected score must be > 0."""
     tasks = _oriented_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
-    total_w = _fsum(w, "task weights")
+    total_w = checked_fsum(w, "task weights")
     arr = m.to_array(tasks)
     values = {}
     for i, mid in enumerate(m.model_ids):
@@ -148,7 +141,7 @@ def geometric_mean(
                     f"geometric mean undefined: model {mid!r} has score {x} on task {t!r}"
                 )
             terms.append(w[j] * math.log(x))
-        values[mid] = math.exp(_fsum(terms, f"model {mid!r}") / total_w)
+        values[mid] = math.exp(checked_fsum(terms, f"model {mid!r}") / total_w)
     return AggregateResult(values, higher_is_better=True)
 
 
@@ -196,11 +189,11 @@ def macro_average(
     for i, mid in enumerate(m.model_ids):
         where = f"model {mid!r}"
         group_means = [
-            _fsum((w[t] * float(arr[i, col[t]]) for t in g), where)
-            / _fsum((w[t] for t in g), "task weights")
+            checked_fsum((w[t] * float(arr[i, col[t]]) for t in g), where)
+            / checked_fsum((w[t] for t in g), "task weights")
             for g in groups.values()
         ]
-        values[mid] = _fsum(group_means, where) / len(group_means)
+        values[mid] = checked_fsum(group_means, where) / len(group_means)
     return AggregateResult(values, higher_is_better=True)
 
 
@@ -231,7 +224,25 @@ def robust_average_rank(
     """
     if not (bin_width > 0):
         raise ConfigError(f"bin_width must be positive, got {bin_width}")
-    return _mean_rank(m, np.floor(m.to_array(_oriented_tasks(m, subset)) / bin_width))
+    tasks = _oriented_tasks(m, subset)
+    return _mean_rank(m, _bins(m.to_array(tasks), bin_width, m.model_ids, tasks))
+
+
+def _bins(x: np.ndarray, bin_width: float,
+          models: Sequence[str], tasks: Sequence[str]) -> np.ndarray:
+    """floor(x / bin_width), for x with rows `models` and columns `tasks`.
+
+    A quotient beyond the float range is a DomainError naming the first
+    such cell, task by task: in one infinite bucket, scores would tie.
+    """
+    with np.errstate(over="ignore"):
+        q = x / bin_width
+    overflow = np.argwhere(~np.isfinite(q.T))
+    if len(overflow):
+        j, i = overflow[0]
+        raise DomainError(f"score / bin_width overflows the float range: "
+                          f"model {models[i]!r}, task {tasks[j]!r}, bin_width {bin_width}")
+    return np.floor(q)
 
 
 def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> Ranking:
@@ -375,7 +386,7 @@ def _rank_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> Subset
     size, which keeps every order and tie.
     """
     if spec.method == "robust_average_rank":
-        x = np.floor(x / spec.bin_width)
+        x = _bins(x, spec.bin_width, m.model_ids, m.task_ids)
     twice = 2 * np.array([fractional_ranks(col, descending=True) for col in x.T.tolist()])
 
     def keys(idx: np.ndarray) -> tuple[np.ndarray, None]:

@@ -55,7 +55,7 @@ from .significance import (
     prob_a_le_b,
     wilcoxon_signed_rank,
 )
-from .util import derive_seed
+from .util import checked_fsum, derive_seed
 
 
 @dataclass
@@ -450,8 +450,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     alternative = args.alternative
 
     labels = list(reps_a)
-    means_a = [sum(reps_a[d]) / len(reps_a[d]) for d in labels]
-    means_b = [sum(reps_b[d]) / len(reps_b[d]) for d in labels]
+    # fsum is correctly rounded, so the replicate order cannot move a mean
+    means_a = [checked_fsum(reps_a[d], f"dataset {d!r}, model A") / len(reps_a[d])
+               for d in labels]
+    means_b = [checked_fsum(reps_b[d], f"dataset {d!r}, model B") / len(reps_b[d])
+               for d in labels]
     try:
         wilcoxon = wilcoxon_signed_rank(
             PairedSamples(tuple(labels), tuple(means_a), tuple(means_b)), alternative

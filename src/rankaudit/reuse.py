@@ -31,7 +31,8 @@ LADDER = "ladder"
 class HoldoutServer:
     """Simulated test set with a query-reporting mechanism and query counter.
 
-    Single-writer: queries against one server must be serialized.
+    Single-writer: queries against one server must be serialized.  A
+    `query_batch` of len(P) rows is len(P) queries, applied in row order.
     Independent servers (distinct seeds) are safe to run concurrently.
     """
 
@@ -72,34 +73,39 @@ def new_holdout(
     return server
 
 
-def _as_predictions(server: HoldoutServer, predictions) -> np.ndarray:
+def query(server: HoldoutServer, predictions) -> float:
+    """Submit one prediction vector and get the mechanism's report: a one-row `query_batch`."""
     arr = np.asarray(predictions)
     if arr.shape != (server.n,):
-        raise SchemaError(
-            f"prediction vector has length {arr.size}, expected {server.n}"
-        )
-    return arr
+        raise SchemaError(f"prediction vector has length {arr.size}, expected {server.n}")
+    return float(query_batch(server, arr[np.newaxis])[0])
 
 
-def query(server: HoldoutServer, predictions) -> float:
-    """Submit one prediction vector and get the mechanism's report.
+def query_batch(server: HoldoutServer, predictions) -> np.ndarray:
+    """Submit each row of a 2-D array as one query, in row order; one report per row.
 
     Naive: the exact empirical accuracy.  Ladder: if the accuracy clears
     best_reported + step, best_reported moves to the accuracy rounded to
-    the nearest step multiple (halfway rounds up) and is returned;
-    otherwise the previous best_reported is repeated.  The query counter
-    increments either way.
+    the nearest step multiple (halfway rounds up) and is reported;
+    otherwise the previous best_reported is repeated.
     """
-    arr = _as_predictions(server, predictions)
-    accuracy = float(np.mean(arr == server._labels))
-    server.query_count += 1
+    arr = np.asarray(predictions)
+    if arr.ndim != 2 or arr.shape[1] != server.n:
+        raise SchemaError(f"prediction batch has shape {arr.shape}, expected (rows, {server.n})")
+    accuracies = (arr == server._labels).mean(axis=1)
+    server.query_count += len(arr)
     if server.mechanism == NAIVE:
-        return accuracy
+        return accuracies
     assert server.step is not None
-    if accuracy >= server.best_reported + server.step:
-        # the 1e-9 nudge makes halfway cases round up despite float noise
-        server.best_reported = math.floor(accuracy / server.step + 0.5 + 1e-9) * server.step
-    return server.best_reported
+    best, step = server.best_reported, server.step
+    reports = np.empty(len(arr))
+    for row, accuracy in enumerate(accuracies.tolist()):
+        if accuracy >= best + step:
+            # the 1e-9 nudge makes halfway cases round up despite float noise
+            best = math.floor(accuracy / step + 0.5 + 1e-9) * step
+        reports[row] = best
+    server.best_reported = best
+    return reports
 
 
 @dataclass(frozen=True)
@@ -131,21 +137,22 @@ def _random_predictions(rng: np.random.Generator, count: int, n: int) -> np.ndar
 def boosting_attack(server: HoldoutServer, i: int, seed: int = 0) -> AttackReport:
     """Run the boosting attack with i queries against the server.
 
-    Submits i independent uniform-random prediction vectors, collects those
-    whose *reported* accuracy exceeds 1/2, and majority-votes the collected
-    vectors coordinate-wise (seeded coin for even splits; a fresh random
-    vector if nothing was collected).  The final predictor is evaluated
-    directly against the hidden labels and against a fresh label draw, so
-    the server's query counter increases by exactly i.
+    Submits i independent uniform-random prediction vectors in one
+    `query_batch`, collects those whose *reported* accuracy exceeds 1/2,
+    and majority-votes the collected vectors coordinate-wise (seeded coin
+    for even splits; a fresh random vector if nothing was collected).  The
+    final predictor is evaluated directly against the hidden labels and
+    against a fresh label draw, so the server's query counter increases by
+    exactly i.
     """
     if i < 1:
         raise ConfigError(f"query budget must be >= 1, got {i}")
     rng = np.random.default_rng(derive_seed(seed, "attack-predictions"))
     candidates = _random_predictions(rng, i, server.n)
-    collected = [vec for vec in candidates if query(server, vec) > 0.5]
+    collected = candidates[query_batch(server, candidates) > 0.5]
 
     aux = np.random.default_rng(derive_seed(seed, "attack-aux"))
-    if collected:
+    if len(collected):
         votes = np.mean(collected, axis=0)
         final = (votes > 0.5).astype(np.uint8)
         even = votes == 0.5

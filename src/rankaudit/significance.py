@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,6 +29,8 @@ B_GREATER = "b-greater"
 WILCOXON_EXACT_LIMIT = 20
 PERMUTATION_EXACT_LIMIT = 10**5
 PERMUTATION_MC_SAMPLES = 10**5
+# Reassignments per numpy pass of the exact permutation test.
+_EXACT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -195,16 +197,18 @@ def permutation_test(
 
     if total <= exact_limit:
         count = 0
-        idx_all = range(na + nb)
         pooled_sum = float(pooled.sum())
-        for a_idx in combinations(idx_all, na):
-            sum_a = float(pooled[list(a_idx)].sum())
+        reassignments = combinations(range(na + nb), na)
+        while len(idx := np.fromiter(islice(reassignments, _EXACT_CHUNK), (np.intp, na))):
+            # Each row is summed by the same numpy reduction as the 1-D sum of
+            # its values, so every stat matches a one-at-a-time loop bit for bit.
+            sum_a = pooled[idx].sum(axis=1)
             stat = (pooled_sum - sum_a) / nb - sum_a / na
             if alternative == B_GREATER:
-                hit = stat >= observed - eps
+                hits = stat >= observed - eps
             else:
-                hit = abs(stat) >= abs(observed) - eps
-            count += hit
+                hits = np.abs(stat) >= abs(observed) - eps
+            count += int(hits.sum())
         return TestResult(observed, count / total, "permutation-mean-diff",
                           alternative, True, label=label)
 

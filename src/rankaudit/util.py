@@ -1,8 +1,12 @@
-"""Small shared helpers: seed derivation and stable hashing."""
+"""Small shared helpers: seed derivation, stable hashing and checked sums."""
 
 from __future__ import annotations
 
 import hashlib
+import math
+from typing import Iterable
+
+from .errors import DomainError
 
 
 def derive_seed(root_seed: int, *labels: object) -> int:
@@ -23,3 +27,11 @@ def derive_seed(root_seed: int, *labels: object) -> int:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def checked_fsum(terms: Iterable[float], where: str) -> float:
+    """Correctly rounded sum; a sum beyond the float range is a DomainError."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise DomainError(f"sum overflows the float range: {where}") from None

@@ -288,6 +288,32 @@ def test_compare_identical_replicates(tmp_path, capsys):
     assert bootstrap["values"]["estimate"] == 1.0
 
 
+def test_compare_json_ignores_replicate_order(tmp_path, capsys):
+    # d0's A and B hold the same eight values, so its mean difference is 0.
+    # Summed left to right, A's mean exceeds B's by one ulp, but only in
+    # the written order; reversed, the sums agree and Wilcoxon drops d0.
+    # Numpy's pairwise sum of eight values (the permutation test's observed
+    # difference) does not depend on the order.
+    rng = np.random.default_rng(61)
+    datasets = {"d0": {"A": [0.73, 0.02, 0.49, 0.57, 0.38, 0.22, 0.98, 0.06],
+                       "B": [0.22, 0.38, 0.57, 0.98, 0.02, 0.73, 0.49, 0.06]}}
+    for i in range(1, 6):
+        datasets[f"d{i}"] = {side: (rng.integers(1, 100, size=8) / 100).tolist()
+                             for side in ("A", "B")}
+    path = tmp_path / "replicates.json"
+    outputs = []
+    for doc in (datasets, {d: {side: reps[::-1] for side, reps in entry.items()}
+                           for d, entry in datasets.items()}):
+        path.write_text(json.dumps({"datasets": doc}))
+        code, stdout, _ = run(capsys, "compare", "--replicates", str(path), "--format", "json")
+        assert code == 0
+        out = json.loads(stdout)
+        del out["provenance"]  # it hashes the input bytes
+        outputs.append(out)
+    assert outputs[0]["tests"]["wilcoxon"]["zeros_dropped"] == 1
+    assert outputs[0] == outputs[1]
+
+
 def test_compare_mixed_holm_subset(tmp_path, capsys):
     rng = np.random.default_rng(60)
     datasets = {}
@@ -548,6 +574,14 @@ def test_exit_code_3_for_geometric_domain_error(tmp_path, capsys):
         capsys, "aggregate", "--matrix", str(bad), "--method", "geometric_mean",
     )
     assert code == 3
+
+
+def test_exit_code_3_for_replicate_sum_overflow(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"datasets": {"d0": {"A": [1e308, 1e308], "B": [1.0, 2.0]}}}))
+    code, _, err = run(capsys, "compare", "--replicates", str(path))
+    assert code == 3
+    assert "computation error" in err and "'d0'" in err and "model A" in err
 
 
 def test_provenance_hash_tracks_input_bytes(tmp_path, capsys):

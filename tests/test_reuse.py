@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,42 @@ from rankaudit.reuse import (
     boosting_attack,
     new_holdout,
     query,
+    query_batch,
     reuse_bound,
 )
 from rankaudit.util import derive_seed
+
+
+def scalar_query(server, vec):
+    """One query by the per-vector rule, applied to the server's state."""
+    accuracy = float(np.mean(np.asarray(vec) == server.labels_copy()))
+    server.query_count += 1
+    if server.mechanism == NAIVE:
+        return accuracy
+    if accuracy >= server.best_reported + server.step:
+        server.best_reported = math.floor(accuracy / server.step + 0.5 + 1e-9) * server.step
+    return server.best_reported
+
+
+def attack_oracle(server, i, seed):
+    """boosting_attack's reports and collected count, one query per candidate."""
+    rng = np.random.default_rng(derive_seed(seed, "attack-predictions"))
+    candidates = reuse._random_predictions(rng, i, server.n)
+    collected = [vec for vec in candidates if scalar_query(server, vec) > 0.5]
+    aux = np.random.default_rng(derive_seed(seed, "attack-aux"))
+    if collected:
+        votes = np.mean(collected, axis=0)
+        final = (votes > 0.5).astype(np.uint8)
+        even = votes == 0.5
+        if np.any(even):
+            final[even] = aux.integers(0, 2, size=int(even.sum()), dtype=np.uint8)
+    else:
+        final = aux.integers(0, 2, size=server.n, dtype=np.uint8)
+    fresh = np.random.default_rng(derive_seed(seed, "fresh-labels")).integers(
+        0, 2, size=server.n, dtype=np.uint8
+    )
+    return (float(np.mean(final == server.labels_copy())), float(np.mean(final == fresh)),
+            len(collected))
 
 
 # -- server construction ------------------------------------------------------
@@ -95,6 +129,38 @@ def test_ladder_reports_are_non_decreasing():
     assert server.query_count == 300
 
 
+@pytest.mark.parametrize("mechanism", [NAIVE, LADDER])
+def test_query_batch_matches_query_loop(mechanism):
+    # two batches in a row, so the ladder carries best_reported across them
+    n = 100
+    step = 0.05 if mechanism == LADDER else None
+    for seed in range(5):
+        batched, looped, scalar = (new_holdout(n, mechanism, seed=seed, step=step)
+                                   for _ in range(3))
+        rng = np.random.default_rng(derive_seed(seed, "batch"))
+        first = rng.integers(0, 2, size=(150, n), dtype=np.uint8)
+        labels = batched.labels_copy()
+        first[::40, : 20 + seed] = labels[: 20 + seed]  # rows above chance
+        second = rng.integers(0, 2, size=(60, n), dtype=np.uint8)
+        reports = np.concatenate([query_batch(batched, first), query_batch(batched, second)])
+        rows = np.concatenate([first, second])
+        assert reports.tolist() == [query(looped, v) for v in rows]
+        assert reports.tolist() == [scalar_query(scalar, v) for v in rows]
+        for server in (looped, scalar):
+            assert batched.query_count == server.query_count == 210
+            assert batched.best_reported == server.best_reported
+        if mechanism == LADDER:
+            assert batched.best_reported > 0.5
+
+
+@pytest.mark.parametrize("shape", [(10,), (3, 9), (3, 11), (2, 3, 10)])
+def test_query_batch_rejects_other_shapes(shape):
+    server = new_holdout(10, NAIVE)
+    with pytest.raises(SchemaError, match=re.escape(str(shape))):
+        query_batch(server, np.zeros(shape, dtype=np.uint8))
+    assert server.query_count == 0
+
+
 # -- boosting attack --------------------------------------------------------------
 
 
@@ -172,6 +238,19 @@ def test_attack_empty_collection_falls_back_to_random_vector(monkeypatch):
     outcome = boosting_attack(server, 5, seed=4)
     assert outcome.collected == 0
     assert 0.0 <= outcome.reported_accuracy <= 1.0
+
+
+@pytest.mark.parametrize("mechanism", [NAIVE, LADDER])
+def test_attack_matches_per_query_oracle(mechanism):
+    for seed in range(4):
+        n, i = 200, 300
+        server = new_holdout(n, mechanism, seed=seed)
+        reference = new_holdout(n, mechanism, seed=seed)
+        outcome = boosting_attack(server, i, seed=seed + 10)
+        expected = attack_oracle(reference, i, seed=seed + 10)
+        assert (outcome.reported_accuracy, outcome.true_accuracy, outcome.collected) == expected
+        assert server.query_count == reference.query_count == i
+        assert server.best_reported == reference.best_reported
 
 
 def test_attack_validation():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rankaudit.significance as significance
 from rankaudit.errors import ConfigError, DegenerateInputError
 from rankaudit.ranking import fractional_ranks
 from rankaudit.significance import (
@@ -62,6 +63,57 @@ def permutation_exact_oracle(a, b, alternative):
         else:
             count += abs(stat) >= abs(observed) - 1e-9
     return count / total
+
+
+def permutation_loop_oracle(a, b, alternative):
+    """The exact branch as it was: one reassignment per loop iteration.
+
+    Same observed, eps and hit test as `permutation_test`, so the chunked
+    numpy pass must give exactly this p.
+    """
+    a = [float(x) for x in a]
+    b = [float(x) for x in b]
+    pooled = np.array(a + b, dtype=float)
+    na, nb = len(a), len(b)
+    observed = float(np.mean(b) - np.mean(a))
+    eps = 1e-12 * max(1.0, abs(observed), float(np.max(np.abs(pooled))) or 1.0)
+    total = comb(na + nb, na)
+    count = 0
+    idx_all = range(na + nb)
+    pooled_sum = float(pooled.sum())
+    for a_idx in combinations(idx_all, na):
+        sum_a = float(pooled[list(a_idx)].sum())
+        stat = (pooled_sum - sum_a) / nb - sum_a / na
+        if alternative == B_GREATER:
+            hit = stat >= observed - eps
+        else:
+            hit = abs(stat) >= abs(observed) - eps
+        count += hit
+    return count / total
+
+
+@st.composite
+def boundary_replicates(draw):
+    """Replicate sets whose stats sit on the eps boundary of the observed one.
+
+    Values have 2-3 decimals (inexact in binary) from a small range, so
+    pools repeat values and many reassignments tie the observed difference
+    up to rounding.  Shapes: plain, a and b swapped, an all-equal pool and
+    b a shifted copy of a.
+    """
+    na, nb = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    scale = draw(st.sampled_from([100, 1000]))
+    value = st.integers(0, 12).map(lambda v: v / scale)
+    a = draw(st.lists(value, min_size=na, max_size=na))
+    b = draw(st.lists(value, min_size=nb, max_size=nb))
+    shape = draw(st.sampled_from(["plain", "swapped", "all-equal", "shifted"]))
+    if shape == "swapped":
+        a, b = b, a
+    elif shape == "all-equal":
+        a, b = [a[0]] * na, [a[0]] * nb
+    elif shape == "shifted":
+        b = [x + draw(value) for x in a]
+    return a, b
 
 
 # -- paired samples ---------------------------------------------------------------
@@ -208,6 +260,32 @@ def test_permutation_exact_matches_oracle():
             assert res.p_value == pytest.approx(
                 permutation_exact_oracle(a, b, alternative), abs=1e-12
             )
+
+
+@given(boundary_replicates())
+def test_permutation_exact_equals_loop_oracle(case):
+    a, b = case
+    for alternative in (B_GREATER, TWO_SIDED):
+        res = permutation_test(a, b, alternative)
+        assert res.exact
+        assert res.p_value == permutation_loop_oracle(a, b, alternative)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_permutation_exact_chunk_size_does_not_matter(chunk, monkeypatch):
+    # 126, 330 and 35 reassignments: none a multiple of 7, and the default
+    # chunk holds each in one pass
+    cases = [([0.1, 0.2, 0.3, 0.1], [0.3, 0.2, 0.1, 0.2, 0.3]),
+             ([0.25, 0.5, 0.25, 0.75], [0.5, 0.5, 0.75, 1.0, 0.25, 0.5, 0.75]),
+             ([0.01, 0.02, 0.03], [0.03, 0.02, 0.01, 0.04])]
+    default = [permutation_test(a, b, alt).p_value
+               for a, b in cases for alt in (B_GREATER, TWO_SIDED)]
+    monkeypatch.setattr(significance, "_EXACT_CHUNK", chunk)
+    chunked = [permutation_test(a, b, alt).p_value
+               for a, b in cases for alt in (B_GREATER, TWO_SIDED)]
+    assert chunked == default
+    assert chunked == [permutation_loop_oracle(a, b, alt)
+                       for a, b in cases for alt in (B_GREATER, TWO_SIDED)]
 
 
 def test_permutation_monte_carlo_close_to_exact():

@@ -177,6 +177,20 @@ def test_domain_error_matches_scalar_path(method, rows):
     assert "'m1'" in str(batched.value)
 
 
+def test_bin_overflow_is_a_domain_error_on_both_paths():
+    # 1e308 / 0.5 and -1e308 / 0.5 overflow; they used to share the +inf and
+    # -inf buckets with a RuntimeWarning instead of failing
+    m = build([[1.0, 1e308, 2.0], [2.0, -1e308, 1.0], [3.0, 1.0, 1.0]])
+    spec = AggregationSpec("robust_average_rank", bin_width=0.5)
+    subsets = list(enumerate_subsets(m.task_ids, 2))
+    with pytest.raises(DomainError) as scalar:
+        oracle(m, spec, subsets, 1)
+    with pytest.raises(DomainError) as batched:
+        unique_topk_audit(m, spec, 2, 1)
+    assert str(batched.value) == str(scalar.value)
+    assert "'m0'" in str(batched.value) and "'t1'" in str(batched.value)
+
+
 def test_audit_exit_code_3_for_missing_scores(tmp_path, capsys):
     holey = tmp_path / "holey.csv"
     holey.write_text("model,t1,t2,t3\na,1,,2\nb,2,3,1\nc,0,1,1\n")
