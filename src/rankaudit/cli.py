@@ -16,13 +16,12 @@ outputs are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import __version__
 from .aggregate import METHODS, AggregationSpec, aggregate
@@ -37,13 +36,13 @@ from .errors import (
 from .rankstats import (
     DEFAULT_SAMPLING_BUDGET,
     SubsetAuditResult,
+    _audit_rows,
     aggregator_agreement,
-    audit_to_dict,
     subset_tau_profile,
     top_k,
     unique_topk_audit,
 )
-from .report import Report, provenance_block, render_json, render_text
+from .report import Report, provenance_block, render_json, render_text, write_csv
 from .reuse import LADDER, NAIVE, boosting_attack, new_holdout
 from .scorebank import ScoreMatrix, human_normalize, load_matrix, load_metrics, orient
 from .significance import (
@@ -258,13 +257,17 @@ def _prepare(args: argparse.Namespace) -> tuple[AuditConfig, ScoreMatrix, dict[s
 
 
 def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text: str,
-          csv_name: str | None = None, extra: Mapping[str, Any] | None = None) -> None:
+          csv_name: str | None = None, extra: Mapping[str, Any] | None = None,
+          listing: tuple[str, Sequence[str], Iterable[Sequence[Sequence[Any]]]] | None = None,
+          ) -> None:
     """The one output writer: render each needed format once, write it to stdout and files.
 
     With out_dir, every format goes to its file (`<basename>.txt`,
     `<basename>.json`, and csv_name or `<basename>.csv`); `fmt` picks the
     one that also goes to stdout, as the same string.  `extra` holds the
-    JSON-only top-level keys.
+    JSON-only top-level keys.  `listing` is a CSV file name, header and
+    chunks of rows, written chunk by chunk with out_dir and never read
+    without.
     """
     names = {"text": f"{basename}.txt", "json": f"{basename}.json",
              "csv": csv_name or f"{basename}.csv"}
@@ -277,27 +280,32 @@ def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text
         directory.mkdir(parents=True, exist_ok=True)
         for f, name in names.items():
             (directory / name).write_text(rendered[f])
+        if listing is not None:
+            name, header, chunks = listing
+            with open(directory / name, "w") as fh:
+                write_csv(fh, header, chunks)
     sys.stdout.write(rendered[fmt])
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    write_csv(buf, header, [rows])
     return buf.getvalue()
 
 
 def _audit_curve(m: ScoreMatrix, cfg: AuditConfig,
-                 report: Report) -> tuple[list[SubsetAuditResult], str]:
+                 report: Report) -> tuple[list[list[SubsetAuditResult]], str]:
     """Run the sizes x ks audits and add their unique-count table to `report`.
 
-    Returns the audits and their `size,k,unique,total` CSV.
+    Each size is scored once, at the largest k; the other ks are cut from
+    its codes.  Returns the results, one list in ks order per size, and
+    their `size,k,unique,total` CSV.
     """
-    results = [unique_topk_audit(m, cfg.aggregation, size, k,
-                                 sampling_budget=cfg.sampling_budget, seed=cfg.seed)
-               for size in cfg.subset_sizes for k in cfg.ks]
+    audits = [unique_topk_audit(m, cfg.aggregation, size, max(cfg.ks),
+                                sampling_budget=cfg.sampling_budget, seed=cfg.seed)
+              for size in cfg.subset_sizes] if cfg.ks else []
+    by_size = [[audit.for_k(k) for k in cfg.ks] for audit in audits]
+    results = [r for same_size in by_size for r in same_size]
     report.add_table(
         "Unique Top-k outcomes per subset size",
         ["size", "k", "unique", "total", "exact"],
@@ -308,7 +316,7 @@ def _audit_curve(m: ScoreMatrix, cfg: AuditConfig,
         ["size", "k", "unique", "total"],
         [[r.subset_size, r.k, r.unique_count, r.total_combinations] for r in results],
     )
-    return results, csv_text
+    return by_size, csv_text
 
 
 # -- subcommands ----------------------------------------------------------
@@ -327,14 +335,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
         title="Task-subset disagreement audit",
         provenance=provenance_block(__version__, cfg.seed, inputs, options),
     )
-    results, csv_text = _audit_curve(m, cfg, report)
-    for r in results:
-        rows = [["+".join(subset), tk.render()]
-                for subset, tk in sorted(r.per_subset_topk.items())]
-        report.add_table(f"Top-{r.k} per subset of size {r.subset_size}",
-                         ["tasks", f"top-{r.k}"], rows)
+    by_size, csv_text = _audit_curve(m, cfg, report)
+    summary = [{"size": r.subset_size, "k": r.k, "unique": r.unique_count,
+                "total": r.total_combinations, "exact": r.exact}
+               for same_size in by_size for r in same_size]
+    listing = (rows for same_size in by_size for rows in _audit_rows(same_size))
     _emit(report, args.format, cfg.output_dir, "audit", csv_text, "audit_curve.csv",
-          {"audits": [audit_to_dict(r) for r in results]})
+          {"audits": summary},
+          ("audit_subsets.csv", ["size", "k", "tasks", "topk", "boundary_tied"], listing))
     return 0
 
 
@@ -619,65 +627,84 @@ def cmd_report(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _audit_options(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--sizes", help="comma-separated subset sizes (default: all)")
+    p.add_argument("--ks", help="comma-separated k values (default: 1,3,5,10)")
+    p.add_argument("--budget", type=int, default=None,
+                   help="max subsets enumerated per size before sampling")
+
+
+def _aggregate_options(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--subset", help="comma-separated task ids (default: all)")
+    p.add_argument("--topk", type=int, default=None, help="report only the top k")
+
+
+def _compare_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--replicates", required=True,
+                   help='JSON: {"datasets": {id: {"A": [...], "B": [...]}}}')
+    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alternative", choices=[TWO_SIDED, B_GREATER], default=B_GREATER)
+    p.add_argument("--correction", choices=["holm", "bonferroni"], default="holm")
+    p.add_argument("--bootstrap-n", type=int, default=10_000)
+    _add_common(p, matrix=False)
+
+
+def _simulate_reuse_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="hidden test-set size")
+    p.add_argument("--i-schedule", required=True,
+                   help="comma-separated query budgets, e.g. 100,400,1600")
+    p.add_argument("--mechanism", choices=[NAIVE, LADDER, "both"], default=NAIVE)
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--step", type=float, default=None, help="ladder step (default 1/sqrt(n))")
+    _add_common(p, matrix=False)
+
+
+def _report_options(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--sizes", help="comma-separated subset sizes (default: all)")
+    p.add_argument("--ks", help="comma-separated k values")
+    p.add_argument("--budget", type=int, default=None)
+
+
+# name -> (help, options, handler), in `--help` order.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None],
+                           Callable[[argparse.Namespace], int]]] = {
+    "audit": ("unique Top-k disagreement across task subsets", _audit_options, cmd_audit),
+    "corr": ("tau profile vs. full aggregate", _add_common, cmd_corr),
+    "aggregate": ("rank models under one scheme", _aggregate_options, cmd_aggregate),
+    "compare": ("statistical comparison of models A and B", _compare_options, cmd_compare),
+    "simulate-reuse": ("adaptive holdout-reuse simulation", _simulate_reuse_options,
+                       cmd_simulate_reuse),
+    "report": ("combined audit + corr + aggregate report", _report_options, cmd_report),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a subcommand name, only that subcommand is built.
+
+    Building all six subparsers costs a few milliseconds, more than a
+    small audit takes, so `main` builds just the one it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="rankaudit",
         description="Audit multi-task leaderboards for ranking fragility.",
     )
     parser.add_argument("--version", action="version", version=f"rankaudit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_audit = sub.add_parser("audit", help="unique Top-k disagreement across task subsets")
-    _add_common(p_audit)
-    p_audit.add_argument("--sizes", help="comma-separated subset sizes (default: all)")
-    p_audit.add_argument("--ks", help="comma-separated k values (default: 1,3,5,10)")
-    p_audit.add_argument("--budget", type=int, default=None,
-                         help="max subsets enumerated per size before sampling")
-    p_audit.set_defaults(func=cmd_audit)
-
-    p_corr = sub.add_parser("corr", help="tau profile vs. full aggregate")
-    _add_common(p_corr)
-    p_corr.set_defaults(func=cmd_corr)
-
-    p_agg = sub.add_parser("aggregate", help="rank models under one scheme")
-    _add_common(p_agg)
-    p_agg.add_argument("--subset", help="comma-separated task ids (default: all)")
-    p_agg.add_argument("--topk", type=int, default=None, help="report only the top k")
-    p_agg.set_defaults(func=cmd_aggregate)
-
-    p_cmp = sub.add_parser("compare", help="statistical comparison of models A and B")
-    p_cmp.add_argument("--replicates", required=True,
-                       help='JSON: {"datasets": {id: {"A": [...], "B": [...]}}}')
-    p_cmp.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p_cmp.add_argument("--alternative", choices=[TWO_SIDED, B_GREATER], default=B_GREATER)
-    p_cmp.add_argument("--correction", choices=["holm", "bonferroni"], default="holm")
-    p_cmp.add_argument("--bootstrap-n", type=int, default=10_000)
-    _add_common(p_cmp, matrix=False)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_sim = sub.add_parser("simulate-reuse", help="adaptive holdout-reuse simulation")
-    p_sim.add_argument("--n", type=int, required=True, help="hidden test-set size")
-    p_sim.add_argument("--i-schedule", required=True,
-                       help="comma-separated query budgets, e.g. 100,400,1600")
-    p_sim.add_argument("--mechanism", choices=[NAIVE, LADDER, "both"], default=NAIVE)
-    p_sim.add_argument("--trials", type=int, default=20)
-    p_sim.add_argument("--step", type=float, default=None, help="ladder step (default 1/sqrt(n))")
-    _add_common(p_sim, matrix=False)
-    p_sim.set_defaults(func=cmd_simulate_reuse)
-
-    p_rep = sub.add_parser("report", help="combined audit + corr + aggregate report")
-    _add_common(p_rep)
-    p_rep.add_argument("--sizes", help="comma-separated subset sizes (default: all)")
-    p_rep.add_argument("--ks", help="comma-separated k values")
-    p_rep.add_argument("--budget", type=int, default=None)
-    p_rep.set_defaults(func=cmd_report)
-
+    for name, (help_text, options, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            options(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ConfigError, SchemaError, UndefinedCorrelationError
 
@@ -128,15 +128,10 @@ def top_k(r: Ranking, k: int) -> TopK:
     """Extract the ordered Top-k positions, keeping boundary ties whole."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    return top_k_of_groups(r.tie_groups(), k)
-
-
-def top_k_of_groups(groups: Iterable[frozenset[str]], k: int) -> TopK:
-    """Top-k from tie groups listed best first; reads only the groups it keeps."""
     sequence: list[frozenset[str]] = []
     placed = 0
     boundary = False
-    for group in groups:
+    for group in r.tie_groups():
         if placed >= k:
             break
         sequence.append(group)

@@ -10,11 +10,10 @@ different aggregation schemes on the same data.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations
 from math import comb
-from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .ranking import (
     kendall_tau_b,
     rank_models,
     top_k,
-    top_k_of_groups,
 )
 from .scorebank import HIGHER, ScoreMatrix, orient, oriented_array
 from .util import derive_seed
@@ -51,6 +49,85 @@ __all__ = [
 
 DEFAULT_SAMPLING_BUDGET = 10**6
 _CHUNK = 256  # subsets scored per numpy pass; bounds the kernels' working memory
+_ROWS_CHUNK = 4096  # rows per chunk of the per-subset listing
+
+
+class _CodedTopK(Mapping):
+    """Per-subset Top-k of an audit as integer codes, decoded on access.
+
+    Row r of `codes` is the Top-k of the subset whose task indices are
+    `subsets[r]`: position p holds group * n_models + model for the model
+    in place p, best first, with model indices ascending inside a tie group
+    and group ids counting from 0; it holds -1 past the end of the group
+    that holds position k.  Two subsets have the same Top-k exactly when
+    their rows are equal.  The mapping's keys are task-id tuples in row
+    order.
+    """
+
+    def __init__(self, model_ids: Sequence[str], task_ids: Sequence[str],
+                 subsets: np.ndarray, codes: np.ndarray, k: int) -> None:
+        self.model_ids = tuple(model_ids)
+        self.task_ids = tuple(task_ids)
+        self.subsets = subsets
+        self.codes = codes
+        self.k = k
+        self._rows: dict[tuple[str, ...], int] | None = None
+        self._unique: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self.subsets)
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        names = self.task_ids
+        for row in self.subsets.tolist():
+            yield tuple(names[j] for j in row)
+
+    def __getitem__(self, key: tuple[str, ...]) -> TopK:
+        if self._rows is None:
+            self._rows = {subset: r for r, subset in enumerate(self)}
+        return self.decode(self.codes[self._rows[key]])
+
+    def decode(self, code: np.ndarray) -> TopK:
+        """The TopK that one row of codes stands for."""
+        n = len(self.model_ids)
+        groups: list[list[str]] = []
+        for value in code.tolist():
+            if value < 0:
+                break
+            group, model = divmod(value, n)
+            if group == len(groups):
+                groups.append([])
+            groups[group].append(self.model_ids[model])
+        placed = sum(len(g) for g in groups)
+        return TopK(self.k, tuple(frozenset(g) for g in groups), boundary_tied=placed > self.k)
+
+    def unique(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct code rows, and per subset the index of its row among them."""
+        if self._unique is None:
+            # One opaque bytes item per row: numpy sorts these several times
+            # faster than the rows themselves under np.unique(axis=0).
+            codes = np.ascontiguousarray(self.codes)
+            row = np.dtype((np.void, codes.itemsize * codes.shape[1]))
+            _, first, inverse = np.unique(codes.view(row).reshape(-1),
+                                          return_index=True, return_inverse=True)
+            self._unique = (codes[first], inverse.reshape(-1))
+        return self._unique
+
+    def prefix(self, k: int) -> _CodedTopK:
+        """The same subsets' Top-k for k <= self.k, cut from these codes."""
+        return _CodedTopK(self.model_ids, self.task_ids, self.subsets,
+                          _top(self.codes, len(self.model_ids), k), k)
+
+
+def _top(codes: np.ndarray, n_models: int, k: int) -> np.ndarray:
+    """codes with -1 past the group that holds position k, cut to the longest row.
+
+    Every row of `codes` must place at least min(k, n_models) models.
+    """
+    group = codes // n_models  # -1 on padding
+    cut = group[:, min(k, codes.shape[1]) - 1]
+    top = np.where(group <= cut[:, None], codes, -1)
+    return top[:, :(top >= 0).sum(axis=1).max()]
 
 
 @dataclass(frozen=True)
@@ -61,6 +138,10 @@ class SubsetAuditResult:
     subsets and total_combinations is C(T, size).  When the combination
     count exceeds the sampling budget the audit evaluates a seeded uniform
     sample instead and reports exact=False, never silently.
+
+    `unique_topk_audit` fills per_subset_topk with a mapping that decodes
+    each TopK from an integer code on access; any other mapping is copied
+    into a dict.
     """
 
     subset_size: int
@@ -75,24 +156,44 @@ class SubsetAuditResult:
             raise ConfigError(
                 f"unique_count {self.unique_count} outside [1, {self.total_combinations}]"
             )
-        object.__setattr__(self, "per_subset_topk", dict(self.per_subset_topk))
+        if not isinstance(self.per_subset_topk, _CodedTopK):
+            object.__setattr__(self, "per_subset_topk", dict(self.per_subset_topk))
 
     @property
     def evaluated(self) -> int:
         return len(self.per_subset_topk)
 
+    def for_k(self, k: int) -> SubsetAuditResult:
+        """This audit's result for k <= self.k, without scoring any subset again.
 
-def _sampled_subsets(
-    tasks: Sequence[str], size: int, budget: int, seed: int
-) -> list[tuple[str, ...]]:
-    """Uniform sample of `budget` distinct subsets, deterministic in seed."""
+        A Top-k is a prefix of the Top-k' of the same ranking for k <= k',
+        so it is cut from this result's codes.  Only a result made by
+        `unique_topk_audit` has codes.
+        """
+        if not 1 <= k <= self.k:
+            raise ConfigError(f"k must be in [1, {self.k}], got {k}")
+        if not isinstance(self.per_subset_topk, _CodedTopK):
+            raise ConfigError("for_k needs a result made by unique_topk_audit")
+        if k == self.k:
+            return self
+        return _result(self.subset_size, self.total_combinations, self.exact,
+                       self.per_subset_topk.prefix(k))
+
+
+def _result(size: int, total: int, exact: bool, coded: _CodedTopK) -> SubsetAuditResult:
+    return SubsetAuditResult(size, coded.k, len(coded.unique()[0]), total, coded, exact)
+
+
+def _sampled_subsets(n_tasks: int, size: int, budget: int, seed: int) -> np.ndarray:
+    """Uniform sample of `budget` distinct subsets, deterministic in seed.
+
+    Rows of task indices, ascending within a row, rows in lexicographic order.
+    """
     rng = np.random.default_rng(derive_seed(seed, "subset-sample", size))
-    n = len(tasks)
     seen: set[tuple[int, ...]] = set()
     while len(seen) < budget:
-        pick = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        seen.add(pick)
-    return [tuple(tasks[i] for i in pick) for pick in sorted(seen)]
+        seen.add(tuple(sorted(rng.choice(n_tasks, size=size, replace=False).tolist())))
+    return np.array(sorted(seen), dtype=np.intp)
 
 
 def _oriented(m: ScoreMatrix) -> ScoreMatrix:
@@ -102,57 +203,61 @@ def _oriented(m: ScoreMatrix) -> ScoreMatrix:
     return m
 
 
-def _subset_topks(
-    m: ScoreMatrix, spec: AggregationSpec, subsets: Sequence[tuple[str, ...]], k: int
-) -> Iterator[TopK]:
-    """Top-k of every subset in order, batched where `spec` has a kernel.
+def _subset_codes(
+    m: ScoreMatrix, spec: AggregationSpec, subsets: np.ndarray, k: int
+) -> np.ndarray:
+    """Top-k codes (see `_CodedTopK`) of the subsets, rows of task indices.
 
     The matrix is oriented once and each chunk of subsets is scored in one
-    kernel call.  A subset is settled by the scalar `aggregate` instead
-    when it touches a missing cell, where that call raises the scalar
-    path's MissingScoreError, or when a float kernel cannot certify the
-    order of its top min(k + 1, n) keys.  Certified keys are then strictly
-    ordered, so ranking them by plain equality gives the scalar path's
-    Top-k.
+    kernel call, where `spec` has a kernel.  The models are sorted by key
+    and adjacent equal keys form a tie group.  A subset is settled by the
+    scalar `aggregate` instead when the scheme has no kernel, when it
+    touches a missing cell, where that call raises the scalar path's
+    MissingScoreError, or when a float kernel cannot certify the order of
+    its top min(k + 1, n) keys.  Certified keys are then strictly ordered,
+    so grouping them by plain equality gives the scalar path's Top-k.
     """
     m = _oriented(m)
+    n = m.n_models
     factory = BATCHED.get(spec.method)
-    if factory is None:
-        for subset in subsets:
-            yield top_k(aggregate(m, subset, spec), k)
-        return
-    x, missing = oriented_array(m)
-    subset_keys = factory(x, m, spec)
-    col_missing = missing.any(axis=0)
-    pos = {t: j for j, t in enumerate(m.task_ids)}
-    n_cert = min(k + 1, m.n_models)
+    if factory is not None:
+        x, missing = oriented_array(m)
+        subset_keys = factory(x, m, spec)
+        col_missing = missing.any(axis=0)
+    model_pos = {mid: i for i, mid in enumerate(m.model_ids)}
+    n_cert = min(k + 1, n)
+    dtype = np.min_scalar_type(-n * n)
+    chunks = []
     for start in range(0, len(subsets), _CHUNK):
-        chunk = subsets[start:start + _CHUNK]
-        idx = np.array([[pos[t] for t in s] for s in chunk], dtype=np.intp)
-        # A sum that overflows leaves an infinite tol or a NaN gap, which
-        # certifies nothing; the scalar path then raises its DomainError.
-        with np.errstate(over="ignore", invalid="ignore"):
-            keys, tol = subset_keys(idx)
-            order = np.argsort(-keys, axis=1, kind="stable")
-            ranked = np.take_along_axis(keys, order, axis=1)
-            scalar = col_missing[idx].any(axis=1)
-            if tol is not None:
-                gaps = ranked[:, : n_cert - 1] - ranked[:, 1:n_cert]
-                scalar |= ~(gaps > tol[:, None]).all(axis=1)
-        for row, subset in enumerate(chunk):
-            if scalar[row]:
-                yield top_k(aggregate(m, subset, spec), k)
-            else:
-                groups = _tie_groups(m.model_ids, order[row].tolist(), ranked[row].tolist())
-                yield top_k_of_groups(groups, k)
-
-
-def _tie_groups(
-    model_ids: Sequence[str], order: list[int], keys: list[float]
-) -> Iterator[frozenset[str]]:
-    """Groups of equal keys, best first, from models sorted by key."""
-    for _, run in groupby(zip(keys, order), key=itemgetter(0)):
-        yield frozenset(model_ids[i] for _, i in run)
+        idx = subsets[start:start + _CHUNK]
+        if factory is None:
+            order = np.zeros((len(idx), n), dtype=np.intp)
+            group = np.zeros_like(order)
+            scalar = np.ones(len(idx), dtype=bool)
+        else:
+            # A sum that overflows leaves an infinite tol or a NaN gap, which
+            # certifies nothing; the scalar path then raises its DomainError.
+            with np.errstate(over="ignore", invalid="ignore"):
+                keys, tol = subset_keys(idx)
+                order = np.argsort(-keys, axis=1, kind="stable")
+                ranked = np.take_along_axis(keys, order, axis=1)
+                scalar = col_missing[idx].any(axis=1)
+                if tol is not None:
+                    gaps = ranked[:, : n_cert - 1] - ranked[:, 1:n_cert]
+                    scalar |= ~(gaps > tol[:, None]).all(axis=1)
+            group = np.zeros_like(order)
+            np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=group[:, 1:])
+        for row in np.flatnonzero(scalar).tolist():
+            tasks = tuple(m.task_ids[j] for j in idx[row].tolist())
+            tie_groups = aggregate(m, tasks, spec).tie_groups()
+            placed = sorted((g, model_pos[mid]) for g, tied in enumerate(tie_groups)
+                            for mid in tied)
+            group[row], order[row] = np.array(placed).T
+        chunks.append(_top((group * n + order).astype(dtype), n, k))
+    codes = np.full((len(subsets), max(c.shape[1] for c in chunks)), -1, dtype=dtype)
+    for start, chunk in zip(range(0, len(subsets), _CHUNK), chunks):
+        codes[start:start + len(chunk), :chunk.shape[1]] = chunk
+    return codes
 
 
 def unique_topk_audit(
@@ -165,13 +270,14 @@ def unique_topk_audit(
 ) -> SubsetAuditResult:
     """Count distinct Top-k outcomes across task subsets of one size.
 
-    Every subset is aggregated under `spec`, its Top-k extracted as an
-    ordered tuple (tied positions compared as sets), and distinct tuples
+    Every subset is aggregated under `spec` once, its Top-k encoded as an
+    integer row (tied positions compared as sets), and distinct rows
     counted.  Subsets are scored in batches where the scheme has a kernel
     in `aggregate.BATCHED`, with the same result as `aggregate` per
     subset.  Enumeration is exhaustive unless C(T, size) exceeds
     `sampling_budget`, in which case a seeded uniform sample without
-    replacement is used and the result is flagged as sampled.
+    replacement is used and the result is flagged as sampled.  The
+    result's `for_k` gives every smaller k from the same codes.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -181,24 +287,14 @@ def unique_topk_audit(
     if total == 0:
         raise ConfigError(f"subset size must be in [1, {m.n_tasks}], got {size}")
     if total <= sampling_budget:
-        subsets = list(enumerate_subsets(m.task_ids, size))
+        subsets = np.fromiter(combinations(range(m.n_tasks), size),
+                              dtype=np.dtype((np.intp, (size,))), count=total)
         exact = True
     else:
-        subsets = _sampled_subsets(m.task_ids, size, sampling_budget, seed)
+        subsets = _sampled_subsets(m.n_tasks, size, sampling_budget, seed)
         exact = False
-    per_subset: dict[tuple[str, ...], TopK] = {}
-    distinct: set[tuple] = set()
-    for subset, tk in zip(subsets, _subset_topks(m, spec, subsets, k)):
-        per_subset[subset] = tk
-        distinct.add(tk.sequence)
-    return SubsetAuditResult(
-        subset_size=size,
-        k=k,
-        unique_count=len(distinct),
-        total_combinations=total,
-        per_subset_topk=per_subset,
-        exact=exact,
-    )
+    codes = _subset_codes(m, spec, subsets, k)
+    return _result(size, total, exact, _CodedTopK(m.model_ids, m.task_ids, subsets, codes, k))
 
 
 def subset_tau_profile(
@@ -277,3 +373,33 @@ def audit_to_dict(result: SubsetAuditResult) -> dict:
         "exact": result.exact,
         "subsets": subsets,
     }
+
+
+def _audit_rows(results: Sequence[SubsetAuditResult]) -> Iterator[list[tuple]]:
+    """The per-subset listing of `for_k` results of one audit, in chunks of rows.
+
+    A row is (size, k, tasks, topk, boundary_tied).  tasks joins the task
+    ids with "+"; topk joins the tie groups, best first, with ";" and the
+    sorted model ids of a group with "|".  Rows run over the audit's
+    subsets in order and, for each subset, over `results` in order.  Each
+    distinct Top-k is rendered once.
+    """
+    coded = [r.per_subset_topk for r in results]
+    first = coded[0]
+    per_k = []
+    for c in coded:
+        rows, inverse = c.unique()
+        cells = [(";".join("|".join(sorted(g)) for g in tk.sequence), tk.boundary_tied)
+                 for tk in map(c.decode, rows)]
+        per_k.append((c.k, cells, inverse))
+    size = results[0].subset_size
+    for start in range(0, len(first), _ROWS_CHUNK):
+        stop = start + _ROWS_CHUNK
+        picked = [(k, [cells[u] for u in inverse[start:stop].tolist()])
+                  for k, cells, inverse in per_k]
+        chunk = []
+        for i, row in enumerate(first.subsets[start:stop].tolist()):
+            tasks = "+".join(first.task_ids[j] for j in row)
+            for k, cells in picked:
+                chunk.append((size, k, tasks, *cells[i]))
+        yield chunk

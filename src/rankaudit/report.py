@@ -9,10 +9,11 @@ carries a wall-clock timestamp.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Mapping, Sequence
+from typing import IO, Any, Iterable, Mapping, Sequence
 
 from .util import sha256_hex
 
@@ -104,3 +105,12 @@ def render_json(report: Report, extra: Mapping[str, Any] | None = None) -> str:
     """Canonical JSON of the report plus `extra` top-level keys (e.g. raw results)."""
     doc = {**report_to_dict(report), **(extra or {})}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_csv(fh: IO[str], header: Sequence[str],
+              chunks: Iterable[Iterable[Sequence[Any]]]) -> None:
+    """Write the header and then each chunk of rows to fh as CSV, chunk by chunk."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for rows in chunks:
+        writer.writerows(rows)

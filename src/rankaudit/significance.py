@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
 from .ranking import fractional_ranks
-from .util import derive_seed
+from .util import checked_fsum, derive_seed
 
 TWO_SIDED = "two-sided"
 B_GREATER = "b-greater"
@@ -183,12 +183,16 @@ def permutation_test(
     All C(na+nb, na) reassignments are enumerated when their count is at
     most `exact_limit`; otherwise `mc_samples` seeded random reassignments
     estimate the p-value with the +1 correction so p stays in (0, 1].
+    A side whose sum overflows the float range is a DomainError.
     """
     _check_alternative(alternative)
     a = [float(x) for x in a]
     b = [float(x) for x in b]
     if len(a) < 2 or len(b) < 2:
         raise ConfigError("permutation test needs at least 2 replicates per side")
+    where = "permutation test" if label is None else f"permutation test {label!r}"
+    for side, values in (("a", a), ("b", b)):
+        checked_fsum(values, f"{where}, side {side}")
     pooled = np.array(a + b, dtype=float)
     na, nb = len(a), len(b)
     observed = float(np.mean(b) - np.mean(a))

@@ -1,16 +1,27 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankaudit.cli
 import rankaudit.report
+from rankaudit.aggregate import AggregationSpec
 from rankaudit.cli import main
 from rankaudit.fixtures import fixture_path
+from rankaudit.ranking import TopK
+from rankaudit.rankstats import unique_topk_audit
+from rankaudit.scorebank import load_matrix
 
 MATRIX = str(fixture_path("lra_scores.csv"))
 METRICS = str(fixture_path("lra_metrics.json"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -133,6 +144,106 @@ def test_audit_config_file_with_flag_override(tmp_path, capsys):
         capsys, "audit", "--config", str(cfg), "--method", "median", "--format", "json",
     )
     assert json.loads(stdout)["provenance"]["options"]["aggregation"] == "median"
+
+
+# -- audit_subsets.csv --------------------------------------------------------
+
+TIED = """model,a,b,c,d,e,f
+m0,2,2,2,1,2,2
+m1,2,0,1,1,0,1
+m2,1,2,1,0,2,2
+m3,0,1,1,2,0,1
+m4,2,1,0,2,2,2
+m5,2,1,2,2,1,2
+m6,1,0,1,1,0,2
+"""
+# size 3 is sampled (C(6, 3) = 20 > 12); the ks are not sorted
+TIED_ARGS = ["--method", "average_rank", "--sizes", "2,3,6", "--budget", "12",
+             "--seed", "5", "--ks", "3,1"]
+# The curve of TIED_ARGS, recorded before the per-subset listing moved to audit_subsets.csv
+TIED_CURVE = "size,k,unique,total\n2,3,12,15\n2,1,9,15\n3,3,9,20\n3,1,5,20\n6,3,1,1\n6,1,1,1\n"
+
+
+@pytest.fixture
+def tied_matrix(tmp_path):
+    path = tmp_path / "tied.csv"
+    path.write_text(TIED)
+    return path
+
+
+def test_audit_curve_is_unchanged(tied_matrix, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, "audit", "--matrix", str(tied_matrix), *TIED_ARGS,
+                          "--format", "csv", "--out", str(out))
+    assert code == 0
+    assert stdout == TIED_CURVE
+    assert (out / "audit_curve.csv").read_text() == TIED_CURVE
+
+
+def test_audit_subsets_lists_every_subset_and_k(tied_matrix, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "audit", "--matrix", str(tied_matrix), *TIED_ARGS,
+                     "--out", str(out))
+    assert code == 0
+    doc = json.loads((out / "audit.json").read_text())
+    assert [s["title"] for s in doc["sections"]] == ["Unique Top-k outcomes per subset size"]
+    assert all(set(a) == {"size", "k", "unique", "total", "exact"} for a in doc["audits"])
+    with open(out / "audit_subsets.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["size", "k", "tasks", "topk", "boundary_tied"]
+    ks = [3, 1]
+    assert len(rows) - 1 == sum(min(comb(6, s), 12) for s in (2, 3, 6)) * len(ks)
+    m = load_matrix(TIED, "csv")
+    spec = AggregationSpec("average_rank")
+    expected = []
+    for size in (2, 3, 6):
+        audits = [unique_topk_audit(m, spec, size, k, sampling_budget=12, seed=5) for k in ks]
+        for subset in audits[0].per_subset_topk:
+            for audit in audits:
+                expected.append((size, audit.k, subset, audit.per_subset_topk[subset]))
+    got = [(int(size), int(k), tuple(tasks.split("+")),
+            TopK(int(k), tuple(frozenset(g.split("|")) for g in topk.split(";")),
+                 tied == "True"))
+           for size, k, tasks, topk, tied in rows[1:]]
+    assert got == expected
+    assert any(tk.boundary_tied for *_, tk in got)
+
+
+def test_audit_subsets_do_not_depend_on_the_hash_seed(tied_matrix, tmp_path):
+    listings = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "rankaudit.cli", "audit", "--matrix",
+                        str(tied_matrix), *TIED_ARGS, "--out", str(out)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        listings.append((out / "audit_subsets.csv").read_bytes())
+    assert listings[0] == listings[1]
+
+
+def test_audit_writes_no_listing_without_out(tied_matrix, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for fmt in ("text", "json", "csv"):
+        code, _, _ = run(capsys, "audit", "--matrix", str(tied_matrix), *TIED_ARGS,
+                         "--format", fmt)
+        assert code == 0
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["tied.csv"]
+
+
+@pytest.mark.parametrize("command", ["audit", "report"])
+def test_audit_scores_each_size_once(command, tied_matrix, capsys, monkeypatch):
+    calls = []
+
+    def counting(m, spec, size, k, **kwargs):
+        calls.append((size, k))
+        return unique_topk_audit(m, spec, size, k, **kwargs)
+
+    monkeypatch.setattr(rankaudit.cli, "unique_topk_audit", counting)
+    code, _, _ = run(capsys, command, "--matrix", str(tied_matrix), *TIED_ARGS,
+                     "--format", "csv")
+    assert code == 0
+    assert calls == [(2, 3), (3, 3), (6, 3)]
 
 
 # -- corr ---------------------------------------------------------------------
@@ -424,7 +535,8 @@ class _TickingClock:
 
 OUTPUTS = {
     "audit": (["--matrix", MATRIX, "--sizes", "1,2", "--ks", "1,3"],
-              {"text": "audit.txt", "json": "audit.json", "csv": "audit_curve.csv"}),
+              {"text": "audit.txt", "json": "audit.json", "csv": "audit_curve.csv",
+               "listing": "audit_subsets.csv"}),
     "corr": (["--matrix", MATRIX, "--metrics", METRICS],
              {"text": "corr.txt", "json": "corr.json", "csv": "corr.csv"}),
     "aggregate": (["--matrix", MATRIX, "--topk", "3"],
@@ -459,6 +571,40 @@ def test_config_flag_only_on_matrix_commands(argv, capsys):
         main([*argv, "--config", "cfg.json"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def _help(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(rankaudit.cli._COMMANDS))
+def test_main_builds_only_the_subcommand_it_runs(command, capsys, monkeypatch):
+    # ... and that subcommand's options and help are the full parser's
+    full = _help(capsys, rankaudit.cli.build_parser(), [command, "--help"])
+    assert _help(capsys, rankaudit.cli.build_parser(command), [command, "--help"]) == full
+    built = []
+    build = rankaudit.cli.build_parser
+    monkeypatch.setattr(rankaudit.cli, "build_parser",
+                        lambda name=None: built.append(name) or build(name))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert built == [command]
+    assert capsys.readouterr().out == full
+
+
+def test_top_level_help_and_unknown_command_see_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out
+    assert all(command in listed for command in rankaudit.cli._COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["audits"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'audits'" in capsys.readouterr().err
 
 
 # -- exit codes ----------------------------------------------------------------------

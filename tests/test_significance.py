@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rankaudit.significance as significance
-from rankaudit.errors import ConfigError, DegenerateInputError
+from rankaudit.errors import ConfigError, DegenerateInputError, DomainError
 from rankaudit.ranking import fractional_ranks
 from rankaudit.significance import (
     B_GREATER,
@@ -247,6 +247,17 @@ def test_permutation_separated_groups_exact_p():
 def test_permutation_needs_two_replicates():
     with pytest.raises(ConfigError):
         permutation_test([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("alternative", [TWO_SIDED, B_GREATER])
+@pytest.mark.parametrize("a, b, side", [([1e308, 1e308], [1.0, 2.0], "side a"),
+                                        ([1.0, 2.0], [-1e308, -1e308, 0.0], "side b")])
+def test_permutation_side_sum_overflow_is_a_domain_error(a, b, side, alternative):
+    # used to overflow inside numpy (a RuntimeWarning, an error under pytest)
+    # and then reject its own p-value of 0 as a ConfigError
+    with pytest.raises(DomainError) as exc:
+        permutation_test(a, b, alternative, label="d7")
+    assert "'d7'" in str(exc.value) and side in str(exc.value)
 
 
 def test_permutation_exact_matches_oracle():

@@ -10,6 +10,7 @@ one ulp with np.nextafter.
 """
 
 import importlib
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from rankaudit import rankstats
 from rankaudit.aggregate import BATCHED, METHODS, AggregationSpec, aggregate
 from rankaudit.cli import main
-from rankaudit.errors import DomainError, MissingScoreError
+from rankaudit.errors import ConfigError, DomainError, MissingScoreError
 from rankaudit.ranking import top_k
 from rankaudit.rankstats import enumerate_subsets, unique_topk_audit
 from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix, orient
@@ -198,3 +199,93 @@ def test_audit_exit_code_3_for_missing_scores(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "computation error" in err and "'a'" in err and "'t2'" in err
+
+
+def audits_both_ways(m, spec, size, k_max, **sampling):
+    """(one audit at k_max cut to each k, one audit per k) for k = 1..k_max."""
+    cut = unique_topk_audit(m, spec, size, k_max, **sampling)
+    return [(cut.for_k(k), unique_topk_audit(m, spec, size, k, **sampling))
+            for k in range(1, k_max + 1)]
+
+
+def assert_same_audit(cut, direct, oracle_topks):
+    assert cut.per_subset_topk == direct.per_subset_topk == oracle_topks
+    assert list(cut.per_subset_topk) == list(direct.per_subset_topk)
+    distinct = len({tk.sequence for tk in oracle_topks.values()})
+    assert cut.unique_count == direct.unique_count == distinct
+    assert (cut.k, cut.subset_size, cut.total_combinations, cut.exact, cut.evaluated) == (
+        direct.k, direct.subset_size, direct.total_combinations, direct.exact, direct.evaluated)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(data=st.data())
+def test_for_k_matches_a_direct_audit_and_the_oracle(method, data):
+    # tied_cases draws k up to n_models + 1, so k > n_models is covered
+    m, spec, size, k_max = data.draw(tied_cases(method))
+    total = comb(m.n_tasks, size)
+    samplings = [{}] + ([{"sampling_budget": total - 1, "seed": 7}] if total > 1 else [])
+    for sampling in samplings:
+        for cut, direct in audits_both_ways(m, spec, size, k_max, **sampling):
+            subsets = list(direct.per_subset_topk)
+            assert_same_audit(cut, direct, oracle(m, spec, subsets, cut.k))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(data=st.data())
+def test_codes_decode_to_the_oracle_topks(method, data):
+    m, spec, size, k = data.draw(tied_cases(method))
+    result = unique_topk_audit(m, spec, size, k)
+    coded = result.per_subset_topk
+    expected = oracle(m, spec, list(enumerate_subsets(m.task_ids, size)), k)
+    assert [coded.decode(row) for row in coded.codes] == list(expected.values())
+    # equal Top-k <=> equal code row: the distinct rows are the distinct outcomes
+    rows, inverse = coded.unique()
+    decoded = [coded.decode(row) for row in rows]
+    assert len({tk.sequence for tk in decoded}) == len(rows) == result.unique_count
+    assert [decoded[u] for u in inverse] == list(expected.values())
+    # the listing renders the same TopKs, tie groups sorted by model id
+    listed = [row[3:] for chunk in rankstats._audit_rows([result]) for row in chunk]
+    assert listed == [(";".join("|".join(sorted(g)) for g in tk.sequence), tk.boundary_tied)
+                      for tk in expected.values()]
+
+
+def test_for_k_on_chunks_that_mix_kernel_and_scalar_rows(monkeypatch, scalar_calls):
+    # m0 and m1 differ only on t1, so they tie in every subset without t1.
+    # Such a subset takes the scalar path when the tie falls within the places
+    # the audit certifies; the mean kernel certifies the others.  Two subsets
+    # per chunk mixes both kinds in one chunk, and boundary ties give the
+    # chunks different code widths.
+    monkeypatch.setattr(rankstats, "_CHUNK", 2)
+    rows = [[0.9, 0.8, 0.5, 0.5],
+            [0.9, 0.2, 0.5, 0.5],
+            [0.3, 0.1, 0.4, 0.1],
+            [0.1, 0.3, 0.2, 0.6]]
+    m = build(rows)
+    spec = AggregationSpec("arithmetic_mean")
+    n = m.n_models
+    widths = set()
+    for size, k_max in product((1, 2, 3), (1, n + 1)):
+        subsets = list(enumerate_subsets(m.task_ids, size))
+        scalar_calls.clear()
+        unique_topk_audit(m, spec, size, k_max)
+        assert scalar_calls and set(scalar_calls) != set(subsets)
+        pairs = audits_both_ways(m, spec, size, k_max)
+        for cut, direct in pairs:
+            assert_same_audit(cut, direct, oracle(m, spec, subsets, cut.k))
+        assert any(tk.boundary_tied for tk in pairs[0][0].per_subset_topk.values())
+        widths |= {cut.per_subset_topk.codes.shape[1] for cut, _ in pairs}
+    assert len(widths) > 1
+
+
+def test_for_k_needs_a_smaller_k_and_coded_topks():
+    m = build([[1.0, 2.0], [2.0, 1.0], [0.0, 0.0]])
+    result = unique_topk_audit(m, AggregationSpec("arithmetic_mean"), 1, 2)
+    for k in (0, 3):
+        with pytest.raises(ConfigError):
+            result.for_k(k)
+    assert result.for_k(2) is result
+    plain = rankstats.SubsetAuditResult(1, 2, result.unique_count, 2,
+                                        dict(result.per_subset_topk))
+    assert plain.per_subset_topk == result.per_subset_topk
+    with pytest.raises(ConfigError):
+        plain.for_k(1)
