@@ -25,17 +25,12 @@ from .errors import (
     SchemaError,
     UndefinedCorrelationError,
 )
+from .ranking import Ranking, TopK, enumerate_subsets, kendall_tau_b, rank_models, top_k
 from .rankstats import (
-    Ranking,
     SubsetAuditResult,
-    TopK,
     aggregator_agreement,
     audit_to_dict,
-    enumerate_subsets,
-    kendall_tau_b,
-    rank_models,
     subset_tau_profile,
-    top_k,
     topk_table,
     unique_topk_audit,
 )

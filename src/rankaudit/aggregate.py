@@ -67,7 +67,15 @@ class AggregateResult:
         object.__setattr__(self, "per_model", dict(self.per_model))
 
 
-def _check_subset(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ...]:
+def _oriented(m: ScoreMatrix) -> ScoreMatrix:
+    """m with every task higher-is-better: the package's one orientation rule."""
+    if any(spec.direction != HIGHER for spec in m.metrics.values()):
+        return orient(m)
+    return m
+
+
+def _oriented_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ...]:
+    """The prologue of every scheme: the checked subset, all higher-is-better."""
     tasks = tuple(m.task_ids if subset is None else subset)
     if not tasks:
         raise ConfigError("task subset is empty")
@@ -75,12 +83,6 @@ def _check_subset(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ..
         raise ConfigError("task subset contains duplicates")
     for t in tasks:
         m.task_index(t)
-    return tasks
-
-
-def _oriented_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ...]:
-    """The prologue of every scheme: the checked subset, all higher-is-better."""
-    tasks = _check_subset(m, subset)
     for t in tasks:
         if m.metrics[t].direction != HIGHER:
             raise ConfigError(
@@ -292,9 +294,9 @@ def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> 
     return Ranking(entries)
 
 
-# The scalar schemes: method name -> scheme on an oriented matrix, a checked
-# task tuple and the spec.  METHODS lists its keys in this order.
-SCHEMES: dict[str, Callable[[ScoreMatrix, tuple[str, ...], AggregationSpec],
+# The scalar schemes: method name -> scheme on an oriented matrix, a task
+# subset (None for all tasks) and the spec.  METHODS lists its keys in this order.
+SCHEMES: dict[str, Callable[[ScoreMatrix, Sequence[str] | None, AggregationSpec],
                             AggregateResult | Ranking]] = {
     "arithmetic_mean": lambda m, tasks, spec: arithmetic_mean(m, tasks, spec.weights),
     "geometric_mean": lambda m, tasks, spec: geometric_mean(m, tasks, spec.weights),
@@ -316,16 +318,15 @@ def aggregate(
 ) -> Ranking:
     """Dispatch to the configured scheme and return a Ranking.
 
-    The matrix is oriented first if any selected task is lower-is-better;
+    The matrix is oriented first if any task is lower-is-better;
     rank-valued aggregates are converted with lower-is-better semantics so
     rank 1 is best everywhere.
     """
     spec = spec or AggregationSpec()
-    tasks = _check_subset(m, subset)
-    if any(m.metrics[t].direction != HIGHER for t in tasks):
-        m = orient(m)
-    result = SCHEMES[spec.method](m, tasks, spec)
-    return result if isinstance(result, Ranking) else rank_models(result)
+    result = SCHEMES[spec.method](_oriented(m), subset, spec)
+    if isinstance(result, Ranking):
+        return result
+    return rank_models(result.per_model, result.higher_is_better)
 
 
 # -- batched subset kernels -------------------------------------------------

@@ -33,13 +33,13 @@ from .errors import (
     ParseError,
     SchemaError,
 )
+from .ranking import top_k
 from .rankstats import (
     DEFAULT_SAMPLING_BUDGET,
     SubsetAuditResult,
     _audit_rows,
     aggregator_agreement,
     subset_tau_profile,
-    top_k,
     unique_topk_audit,
 )
 from .report import Report, provenance_block, render_json, render_text, write_csv
@@ -661,13 +661,6 @@ def _simulate_reuse_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, matrix=False)
 
 
-def _report_options(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--sizes", help="comma-separated subset sizes (default: all)")
-    p.add_argument("--ks", help="comma-separated k values")
-    p.add_argument("--budget", type=int, default=None)
-
-
 # name -> (help, options, handler), in `--help` order.
 _COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None],
                            Callable[[argparse.Namespace], int]]] = {
@@ -677,7 +670,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None],
     "compare": ("statistical comparison of models A and B", _compare_options, cmd_compare),
     "simulate-reuse": ("adaptive holdout-reuse simulation", _simulate_reuse_options,
                        cmd_simulate_reuse),
-    "report": ("combined audit + corr + aggregate report", _report_options, cmd_report),
+    "report": ("combined audit + corr + aggregate report", _audit_options, cmd_report),
 }
 
 

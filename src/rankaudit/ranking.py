@@ -107,16 +107,8 @@ class TopK:
         return text
 
 
-def rank_models(agg, higher_is_better: bool = True) -> Ranking:
-    """Turn per-model aggregate values into a fractional Ranking.
-
-    Accepts either a plain mapping model -> value with an explicit
-    direction flag, or an aggregate-result object carrying `per_model`
-    and its own `higher_is_better` (which then wins), so rank-valued
-    aggregates orient themselves correctly.
-    """
-    per_model: Mapping[str, float] = getattr(agg, "per_model", agg)
-    higher_is_better = getattr(agg, "higher_is_better", higher_is_better)
+def rank_models(per_model: Mapping[str, float], higher_is_better: bool = True) -> Ranking:
+    """Turn per-model aggregate values into a fractional Ranking."""
     if not per_model:
         raise ConfigError("cannot rank an empty aggregate")
     models = list(per_model)

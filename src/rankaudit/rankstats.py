@@ -17,29 +17,14 @@ from math import comb
 
 import numpy as np
 
-from .aggregate import BATCHED, AggregationSpec, aggregate
+from .aggregate import BATCHED, AggregationSpec, _oriented, aggregate
 from .errors import ConfigError, UndefinedCorrelationError
-from .ranking import (
-    Ranking,
-    TopK,
-    enumerate_subsets,
-    fractional_ranks,
-    kendall_tau_b,
-    rank_models,
-    top_k,
-)
-from .scorebank import HIGHER, ScoreMatrix, orient, oriented_array
+from .ranking import TopK, kendall_tau_b, top_k
+from .scorebank import ScoreMatrix, oriented_array
 from .util import derive_seed
 
 __all__ = [
-    "Ranking",
-    "TopK",
     "SubsetAuditResult",
-    "rank_models",
-    "top_k",
-    "kendall_tau_b",
-    "fractional_ranks",
-    "enumerate_subsets",
     "unique_topk_audit",
     "subset_tau_profile",
     "topk_table",
@@ -194,13 +179,6 @@ def _sampled_subsets(n_tasks: int, size: int, budget: int, seed: int) -> np.ndar
     while len(seen) < budget:
         seen.add(tuple(sorted(rng.choice(n_tasks, size=size, replace=False).tolist())))
     return np.array(sorted(seen), dtype=np.intp)
-
-
-def _oriented(m: ScoreMatrix) -> ScoreMatrix:
-    """m with every task higher-is-better, so `aggregate` never re-orients it."""
-    if any(spec.direction != HIGHER for spec in m.metrics.values()):
-        return orient(m)
-    return m
 
 
 def _subset_codes(

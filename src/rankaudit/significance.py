@@ -183,7 +183,9 @@ def permutation_test(
     All C(na+nb, na) reassignments are enumerated when their count is at
     most `exact_limit`; otherwise `mc_samples` seeded random reassignments
     estimate the p-value with the +1 correction so p stays in (0, 1].
-    A side whose sum overflows the float range is a DomainError.
+    A side whose sum overflows the float range is a DomainError, and so
+    is a pooled sum of the positive or of the negative values that does:
+    it bounds the sum of every reassignment.
     """
     _check_alternative(alternative)
     a = [float(x) for x in a]
@@ -193,11 +195,19 @@ def permutation_test(
     where = "permutation test" if label is None else f"permutation test {label!r}"
     for side, values in (("a", a), ("b", b)):
         checked_fsum(values, f"{where}, side {side}")
+    for sign, values in (("positive", [x for x in a + b if x > 0]),
+                         ("negative", [x for x in a + b if x < 0])):
+        checked_fsum(values, f"{where}, pooled {sign} values")
     pooled = np.array(a + b, dtype=float)
     na, nb = len(a), len(b)
     observed = float(np.mean(b) - np.mean(a))
     eps = 1e-12 * max(1.0, abs(observed), float(np.max(np.abs(pooled))) or 1.0)
     total = math.comb(na + nb, na)
+
+    def hits(stats: np.ndarray) -> int:
+        if alternative == B_GREATER:
+            return int(np.sum(stats >= observed - eps))
+        return int(np.sum(np.abs(stats) >= abs(observed) - eps))
 
     if total <= exact_limit:
         count = 0
@@ -207,12 +217,7 @@ def permutation_test(
             # Each row is summed by the same numpy reduction as the 1-D sum of
             # its values, so every stat matches a one-at-a-time loop bit for bit.
             sum_a = pooled[idx].sum(axis=1)
-            stat = (pooled_sum - sum_a) / nb - sum_a / na
-            if alternative == B_GREATER:
-                hits = stat >= observed - eps
-            else:
-                hits = np.abs(stat) >= abs(observed) - eps
-            count += int(hits.sum())
+            count += hits((pooled_sum - sum_a) / nb - sum_a / na)
         return TestResult(observed, count / total, "permutation-mean-diff",
                           alternative, True, label=label)
 
@@ -223,11 +228,7 @@ def permutation_test(
     while done < mc_samples:
         size = min(batch, mc_samples - done)
         perms = rng.permuted(np.tile(pooled, (size, 1)), axis=1)
-        stats = perms[:, na:].mean(axis=1) - perms[:, :na].mean(axis=1)
-        if alternative == B_GREATER:
-            count += int(np.sum(stats >= observed - eps))
-        else:
-            count += int(np.sum(np.abs(stats) >= abs(observed) - eps))
+        count += hits(perms[:, na:].mean(axis=1) - perms[:, :na].mean(axis=1))
         done += size
     p = (1 + count) / (1 + mc_samples)
     return TestResult(observed, p, "permutation-mean-diff", alternative, False,

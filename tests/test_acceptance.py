@@ -19,13 +19,8 @@ import numpy as np
 
 from rankaudit import fixtures
 from rankaudit.aggregate import AggregationSpec, aggregate
-from rankaudit.ranking import fractional_ranks, rank_models
-from rankaudit.rankstats import (
-    enumerate_subsets,
-    kendall_tau_b,
-    topk_table,
-    unique_topk_audit,
-)
+from rankaudit.ranking import enumerate_subsets, fractional_ranks, kendall_tau_b, rank_models
+from rankaudit.rankstats import topk_table, unique_topk_audit
 from rankaudit.reuse import LADDER, NAIVE, boosting_attack, new_holdout
 from rankaudit.scorebank import ScoreMatrix
 from rankaudit.significance import (

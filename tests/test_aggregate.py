@@ -20,7 +20,7 @@ from rankaudit.aggregate import (
 )
 from rankaudit.errors import ConfigError, DomainError, MissingScoreError
 from rankaudit.ranking import rank_models
-from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix
+from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix, orient
 
 
 def matrix(rows, model_ids=None, task_ids=None, metrics=None):
@@ -268,13 +268,17 @@ def test_dispatch_passes_the_spec_to_each_scheme_in_method_order():
     # every scheme, and each weighted one without weights, ranks this matrix differently
     m = matrix([[0.9, 0.1, 0.5], [0.3, 0.9, 0.3], [0.2, 0.8, 0.8], [0.1, 0.9, 0.5]])
     weights, groups = {"t2": 3.0}, {"t1": "a", "t2": "b", "t3": "b"}
+
+    def ranked(result):
+        return rank_models(result.per_model, result.higher_is_better)
+
     expected = {
-        "arithmetic_mean": rank_models(arithmetic_mean(m, None, weights)),
-        "geometric_mean": rank_models(geometric_mean(m, None, weights)),
-        "median": rank_models(median_score(m)),
-        "macro_average": rank_models(macro_average(m, None, groups, weights)),
-        "average_rank": rank_models(average_rank(m)),
-        "robust_average_rank": rank_models(robust_average_rank(m, None, 0.3)),
+        "arithmetic_mean": ranked(arithmetic_mean(m, None, weights)),
+        "geometric_mean": ranked(geometric_mean(m, None, weights)),
+        "median": ranked(median_score(m)),
+        "macro_average": ranked(macro_average(m, None, groups, weights)),
+        "average_rank": ranked(average_rank(m)),
+        "robust_average_rank": ranked(robust_average_rank(m, None, 0.3)),
         "elimination_ranking": elimination_ranking(m),
     }
     assert METHODS == tuple(expected)
@@ -287,6 +291,17 @@ def test_dispatch_auto_orients_lower_better_tasks():
     m = matrix([[1.0], [3.0]], metrics={"t1": MetricSpec(direction=LOWER)})
     r = aggregate(m, None, AggregationSpec("arithmetic_mean"))
     assert r.entries == {"A": 1.0, "B": 2.0}
+
+
+@pytest.mark.parametrize("scheme", [arithmetic_mean, geometric_mean, median_score,
+                                    macro_average, average_rank, robust_average_rank,
+                                    elimination_ranking])
+def test_schemes_check_the_subset_before_its_directions(scheme):
+    m = matrix([[1.0, 2.0], [3.0, 4.0]], metrics={"t1": MetricSpec(direction=LOWER)})
+    with pytest.raises(ConfigError, match="'t1' is lower-is-better"):
+        scheme(m, ["t2", "t1"])
+    with pytest.raises(ConfigError, match="unknown task 't9'"):
+        scheme(m, ["t1", "t9"])
 
 
 def test_spec_validation():
@@ -454,3 +469,25 @@ def test_ranking_ignores_one_models_scores_permuted_across_equal_weight_tasks(me
     moved = ScoreMatrix(m.model_ids, m.task_ids, tuple(rows), m.metrics)
     spec = AggregationSpec(method, group_map={t: "g" for t in m.task_ids})
     assert aggregate(moved, None, spec) == aggregate(m, None, spec)
+
+
+def outcome(m, subset, spec):
+    """The ranking, or the message of the DomainError raised instead."""
+    try:
+        return aggregate(m, subset, spec)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(m=scored_matrices(), data=st.data())
+def test_aggregate_equals_aggregate_of_the_oriented_matrix(method, m, data):
+    lower = data.draw(st.lists(st.sampled_from(m.task_ids), min_size=1,
+                               max_size=m.n_tasks - 1, unique=True))
+    mixed = ScoreMatrix(m.model_ids, m.task_ids, m.scores,
+                        {t: MetricSpec(direction=LOWER) for t in lower})
+    subset = data.draw(st.lists(st.sampled_from(m.task_ids), min_size=1, unique=True))
+    higher_only = [t for t in m.task_ids if t not in lower]
+    spec = spec_for(method, m)
+    for tasks in (None, subset, higher_only):
+        assert outcome(mixed, tasks, spec) == outcome(orient(mixed), tasks, spec)

@@ -730,6 +730,17 @@ def test_exit_code_3_for_replicate_sum_overflow(tmp_path, capsys):
     assert "computation error" in err and "'d0'" in err and "model A" in err
 
 
+def test_exit_code_3_for_reassignment_sum_overflow(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"datasets": {
+        "d0": {"A": [1.0, 2.0], "B": [1.5, 2.5]},
+        "d1": {"A": [1e308, -1e308], "B": [1e308, -1e308]},
+    }}))
+    code, out, err = run(capsys, "compare", "--replicates", str(path))
+    assert code == 3 and out == ""
+    assert "computation error" in err and "'d1'" in err
+
+
 def test_provenance_hash_tracks_input_bytes(tmp_path, capsys):
     m1 = tmp_path / "m1.csv"
     m1.write_text("model,t1\na,1\nb,2\n")

@@ -1,4 +1,5 @@
 import json
+import types
 from itertools import combinations
 from math import comb, sqrt
 
@@ -7,15 +8,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankaudit import fixtures
+import rankaudit
+from rankaudit import fixtures, rankstats
 from rankaudit.aggregate import AggregationSpec, aggregate
 from rankaudit.errors import ConfigError, SchemaError, UndefinedCorrelationError
-from rankaudit.ranking import Ranking, fractional_ranks, rank_models, top_k
+from rankaudit.ranking import (
+    Ranking,
+    enumerate_subsets,
+    fractional_ranks,
+    kendall_tau_b,
+    rank_models,
+    top_k,
+)
 from rankaudit.rankstats import (
     aggregator_agreement,
     audit_to_dict,
-    enumerate_subsets,
-    kendall_tau_b,
     subset_tau_profile,
     topk_table,
     unique_topk_audit,
@@ -28,6 +35,36 @@ def matrix(rows, model_ids=None, task_ids=None):
     task_ids = task_ids or tuple(f"t{j + 1}" for j in range(len(rows[0])))
     return ScoreMatrix(tuple(model_ids), tuple(task_ids),
                        tuple(tuple(float(x) for x in r) for r in rows))
+
+
+# -- public names -------------------------------------------------------------
+
+PUBLIC_NAMES = [
+    "AggregateResult", "AggregationSpec", "AttackReport", "AuditError", "ComputationError",
+    "ConfigError", "DegenerateInputError", "DomainError", "HoldoutServer", "InputError",
+    "METHODS", "MetricSpec", "MissingScoreError", "NormalizedMatrix", "PairedSamples",
+    "ParseError", "Ranking", "SchemaError", "ScoreMatrix", "SubsetAuditResult", "TestResult",
+    "TopK", "UndefinedCorrelationError", "aggregate", "aggregator_agreement",
+    "arithmetic_mean", "audit_to_dict", "average_rank", "boosting_attack", "derive_seed",
+    "elimination_ranking", "enumerate_subsets", "geometric_mean", "holm_correction",
+    "human_normalize", "kendall_tau_b", "load_matrix", "load_metrics", "macro_average",
+    "median_score", "new_holdout", "orient", "per_dataset_tests", "permutation_test",
+    "prob_a_le_b", "query", "query_batch", "rank_models", "reuse_bound",
+    "robust_average_rank", "save_matrix", "save_metrics", "subset_tau_profile", "top_k",
+    "topk_table", "unique_topk_audit", "wilcoxon_signed_rank",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules become package attributes once imported, so they are left out
+    names = sorted(name for name, value in vars(rankaudit).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+
+
+def test_rankstats_exports_only_what_it_defines():
+    for name in rankstats.__all__:
+        assert getattr(rankstats, name).__module__ == "rankaudit.rankstats", name
 
 
 # -- oracles ------------------------------------------------------------------
@@ -79,13 +116,6 @@ def test_rank_models_examples():
     assert rank_models({"A": 1.0, "B": 2.5}, higher_is_better=False).entries == {
         "A": 1.0, "B": 2.0,
     }
-
-
-def test_rank_models_accepts_aggregate_result():
-    from rankaudit.aggregate import AggregateResult
-
-    rank_valued = AggregateResult({"A": 1.0, "B": 2.5}, higher_is_better=False)
-    assert rank_models(rank_valued).entries == {"A": 1.0, "B": 2.0}
 
 
 def test_ranking_validates_fractional_sum():

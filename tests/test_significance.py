@@ -260,6 +260,20 @@ def test_permutation_side_sum_overflow_is_a_domain_error(a, b, side, alternative
     assert "'d7'" in str(exc.value) and side in str(exc.value)
 
 
+@pytest.mark.parametrize("alternative", [TWO_SIDED, B_GREATER])
+@pytest.mark.parametrize("exact_limit", [significance.PERMUTATION_EXACT_LIMIT, 0])
+@pytest.mark.parametrize("a, b, sign", [([1e308, -1e308], [1e308, -1e308], "positive"),
+                                        ([-1e308, 1.0], [1.0, -1e308], "negative")])
+def test_permutation_reassignment_overflow_is_a_domain_error(a, b, sign, exact_limit,
+                                                             alternative):
+    # each side's sum is finite, but some reassignment's is not; this used to
+    # overflow inside numpy and return a p-value from infinite statistics
+    with pytest.raises(DomainError) as exc:
+        permutation_test(a, b, alternative, exact_limit=exact_limit, mc_samples=10,
+                         label="d7")
+    assert "'d7'" in str(exc.value) and f"pooled {sign} values" in str(exc.value)
+
+
 def test_permutation_exact_matches_oracle():
     rng = np.random.default_rng(36)
     for _ in range(10):

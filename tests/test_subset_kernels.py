@@ -22,8 +22,8 @@ from rankaudit import rankstats
 from rankaudit.aggregate import BATCHED, METHODS, AggregationSpec, aggregate
 from rankaudit.cli import main
 from rankaudit.errors import ConfigError, DomainError, MissingScoreError
-from rankaudit.ranking import top_k
-from rankaudit.rankstats import enumerate_subsets, unique_topk_audit
+from rankaudit.ranking import enumerate_subsets, top_k
+from rankaudit.rankstats import unique_topk_audit
 from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix, orient
 
 
