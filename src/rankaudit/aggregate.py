@@ -106,6 +106,14 @@ def _resolve_weights(
     return out
 
 
+def _weighted_means(m: ScoreMatrix, rows: Sequence[Sequence[float]],
+                    w: Sequence[float]) -> list[float]:
+    """Per model, fsum(w * x) / fsum(w) over its row of `rows`."""
+    total_w = checked_fsum(w, "task weights")
+    return [checked_fsum((wi * x for wi, x in zip(w, row)), f"model {mid!r}") / total_w
+            for mid, row in zip(m.model_ids, rows)]
+
+
 def arithmetic_mean(
     m: ScoreMatrix,
     subset: Sequence[str] | None = None,
@@ -114,13 +122,8 @@ def arithmetic_mean(
     """Per-model weighted mean over the subset."""
     tasks = _oriented_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
-    total_w = checked_fsum(w, "task weights")
-    arr = m.to_array(tasks)
-    values = {
-        mid: checked_fsum((wi * x for wi, x in zip(w, row.tolist())), f"model {mid!r}") / total_w
-        for mid, row in zip(m.model_ids, arr)
-    }
-    return AggregateResult(values, higher_is_better=True)
+    means = _weighted_means(m, m.to_array(tasks).tolist(), w)
+    return AggregateResult(dict(zip(m.model_ids, means)), higher_is_better=True)
 
 
 def geometric_mean(
@@ -131,19 +134,14 @@ def geometric_mean(
     """exp of the weighted mean of logs; every selected score must be > 0."""
     tasks = _oriented_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
-    total_w = checked_fsum(w, "task weights")
     arr = m.to_array(tasks)
-    values = {}
-    for i, mid in enumerate(m.model_ids):
-        terms = []
-        for j, t in enumerate(tasks):
-            x = arr[i, j]
-            if x <= 0:
-                raise DomainError(
-                    f"geometric mean undefined: model {mid!r} has score {x} on task {t!r}"
-                )
-            terms.append(w[j] * math.log(x))
-        values[mid] = math.exp(checked_fsum(terms, f"model {mid!r}") / total_w)
+    bad = np.argwhere(arr <= 0)
+    if len(bad):
+        i, j = bad[0]
+        raise DomainError(f"geometric mean undefined: model {m.model_ids[i]!r} "
+                          f"has score {arr[i, j]} on task {tasks[j]!r}")
+    logs = [[math.log(x) for x in row] for row in arr.tolist()]
+    values = {mid: math.exp(v) for mid, v in zip(m.model_ids, _weighted_means(m, logs, w))}
     return AggregateResult(values, higher_is_better=True)
 
 
@@ -174,8 +172,8 @@ def macro_average(
     metric metadata; a selected task without a group is an error.
     """
     tasks = _oriented_tasks(m, subset)
-    groups: dict[str, list[str]] = {}
-    for t in tasks:
+    groups: dict[str, list[int]] = {}
+    for j, t in enumerate(tasks):
         g = None
         if group_map is not None:
             g = group_map.get(t)
@@ -183,19 +181,13 @@ def macro_average(
             g = m.metrics[t].group
         if g is None:
             raise ConfigError(f"task {t!r} has no group; macro-average needs a total group map")
-        groups.setdefault(g, []).append(t)
-    w = dict(zip(tasks, _resolve_weights(m, tasks, weights)))
+        groups.setdefault(g, []).append(j)
+    w = _resolve_weights(m, tasks, weights)
     arr = m.to_array(tasks)
-    col = {t: j for j, t in enumerate(tasks)}
-    values = {}
-    for i, mid in enumerate(m.model_ids):
-        where = f"model {mid!r}"
-        group_means = [
-            checked_fsum((w[t] * float(arr[i, col[t]]) for t in g), where)
-            / checked_fsum((w[t] for t in g), "task weights")
-            for g in groups.values()
-        ]
-        values[mid] = checked_fsum(group_means, where) / len(group_means)
+    group_means = [_weighted_means(m, arr[:, cols].tolist(), [w[j] for j in cols])
+                   for cols in groups.values()]
+    values = {mid: checked_fsum(means, f"model {mid!r}") / len(group_means)
+              for mid, means in zip(m.model_ids, zip(*group_means))}
     return AggregateResult(values, higher_is_better=True)
 
 
@@ -283,15 +275,14 @@ def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> 
             return [models]
         return contest(models - losers) + contest(losers)
 
-    groups = contest(frozenset(m.model_ids))
-    entries: dict[str, float] = {}
+    rank: dict[str, float] = {}
     position = 1
-    for group in groups:
-        rank = position + (len(group) - 1) / 2.0
+    for group in contest(frozenset(m.model_ids)):
         for mid in group:
-            entries[mid] = rank
+            rank[mid] = position + (len(group) - 1) / 2.0
         position += len(group)
-    return Ranking(entries)
+    # In model order: the groups are frozensets, whose order follows str hashes.
+    return Ranking({mid: rank[mid] for mid in m.model_ids})
 
 
 # The scalar schemes: method name -> scheme on an oriented matrix, a task

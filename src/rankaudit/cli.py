@@ -78,14 +78,14 @@ class AuditConfig:
     seed: int = 0
     normalize: str = "none"
 
-    def validate(self, n_tasks: int | None = None) -> None:
+    def validate(self, n_tasks: int) -> None:
         for k in self.ks:
             if k < 1:
                 raise ConfigError(f"k must be >= 1, got {k}")
         if self.sampling_budget < 1:
             raise ConfigError(f"sampling_budget must be >= 1, got {self.sampling_budget}")
         for size in self.subset_sizes:
-            if size < 1 or (n_tasks is not None and size > n_tasks):
+            if not 1 <= size <= n_tasks:
                 raise ConfigError(f"subset size {size} outside [1, {n_tasks}]")
         if self.normalize not in ("none", "orient", "human"):
             raise ConfigError(f"normalize must be none/orient/human, got {self.normalize!r}")
@@ -101,7 +101,7 @@ def _config_value(doc: Mapping[str, Any], key: str, convert: Callable[[Any], Any
         return default
     try:
         return convert(doc[key])
-    except (TypeError, ValueError, AttributeError):
+    except (TypeError, ValueError, AttributeError, OverflowError):
         raise ConfigError(f"{where}: invalid value for {key!r}: {doc[key]!r}") from None
 
 
@@ -118,6 +118,13 @@ def _int(value: Any) -> int:
     return value
 
 
+def _number(value: Any) -> float:
+    """A JSON number: booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _ints(value: Any) -> list[int]:
     if not isinstance(value, list):
         raise TypeError("expected a list")
@@ -132,10 +139,11 @@ def _spec_from_dict(raw: Any, where: str) -> AggregationSpec:
         raise SchemaError(f"unknown aggregation key(s): {sorted(unknown)}")
     return AggregationSpec(
         method=_config_value(raw, "method", _text, "arithmetic_mean", where),
-        bin_width=_config_value(raw, "bin_width", float, 1.0, where),
+        bin_width=_config_value(raw, "bin_width", _number, 1.0, where),
         weights=_config_value(raw, "weights",
-                              lambda v: {t: float(w) for t, w in v.items()}, None, where),
-        group_map=_config_value(raw, "groups", lambda v: dict(v.items()), None, where),
+                              lambda v: {t: _number(w) for t, w in v.items()}, None, where),
+        group_map=_config_value(raw, "groups",
+                                lambda v: {t: _text(g) for t, g in v.items()}, None, where),
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -159,7 +160,8 @@ def kendall_tau_b(a: Ranking, b: Ranking) -> float:
     nd = _count_strict_inversions([rb[i] for i in order])
     n3 = _joint_tie_term(ra, rb)
     nc = n0 - n1 - n2 + n3 - nd
-    return (nc - nd) / ((n0 - n1) ** 0.5 * (n0 - n2) ** 0.5)
+    # sqrt of an exact integer product, correctly rounded: |tau| <= 1, tau(a, a) == 1.0.
+    return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
 
 
 def _tie_term(ranks: Sequence[float]) -> int:

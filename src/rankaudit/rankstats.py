@@ -187,13 +187,13 @@ def _subset_codes(
     """Top-k codes (see `_CodedTopK`) of the subsets, rows of task indices.
 
     The matrix is oriented once and each chunk of subsets is scored in one
-    kernel call, where `spec` has a kernel.  The models are sorted by key
-    and adjacent equal keys form a tie group.  A subset is settled by the
-    scalar `aggregate` instead when the scheme has no kernel, when it
-    touches a missing cell, where that call raises the scalar path's
-    MissingScoreError, or when a float kernel cannot certify the order of
-    its top min(k + 1, n) keys.  Certified keys are then strictly ordered,
-    so grouping them by plain equality gives the scalar path's Top-k.
+    kernel call, where `spec` has a kernel.  A subset is settled by the
+    scalar `aggregate` instead, with minus its ranks as keys, when the
+    scheme has no kernel, when it touches a missing cell, where that call
+    raises the scalar path's MissingScoreError, or when a float kernel
+    cannot certify the order of its top min(k + 1, n) keys.  Each row's
+    models are sorted by key and equal keys form a tie group: certified
+    keys are strictly ordered, so this gives the scalar path's Top-k.
     """
     m = _oriented(m)
     n = m.n_models
@@ -202,35 +202,32 @@ def _subset_codes(
         x, missing = oriented_array(m)
         subset_keys = factory(x, m, spec)
         col_missing = missing.any(axis=0)
-    model_pos = {mid: i for i, mid in enumerate(m.model_ids)}
     n_cert = min(k + 1, n)
     dtype = np.min_scalar_type(-n * n)
     chunks = []
     for start in range(0, len(subsets), _CHUNK):
         idx = subsets[start:start + _CHUNK]
-        if factory is None:
-            order = np.zeros((len(idx), n), dtype=np.intp)
-            group = np.zeros_like(order)
-            scalar = np.ones(len(idx), dtype=bool)
-        else:
+        keys = np.empty((len(idx), n))
+        order = np.empty(keys.shape, dtype=np.intp)
+        scalar = np.ones(len(idx), dtype=bool)
+        if factory is not None:
             # A sum that overflows leaves an infinite tol or a NaN gap, which
             # certifies nothing; the scalar path then raises its DomainError.
             with np.errstate(over="ignore", invalid="ignore"):
                 keys, tol = subset_keys(idx)
                 order = np.argsort(-keys, axis=1, kind="stable")
-                ranked = np.take_along_axis(keys, order, axis=1)
                 scalar = col_missing[idx].any(axis=1)
                 if tol is not None:
-                    gaps = ranked[:, : n_cert - 1] - ranked[:, 1:n_cert]
-                    scalar |= ~(gaps > tol[:, None]).all(axis=1)
-            group = np.zeros_like(order)
-            np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=group[:, 1:])
-        for row in np.flatnonzero(scalar).tolist():
-            tasks = tuple(m.task_ids[j] for j in idx[row].tolist())
-            tie_groups = aggregate(m, tasks, spec).tie_groups()
-            placed = sorted((g, model_pos[mid]) for g, tied in enumerate(tie_groups)
-                            for mid in tied)
-            group[row], order[row] = np.array(placed).T
+                    top = np.take_along_axis(keys, order[:, :n_cert], axis=1)
+                    scalar |= ~(top[:, :-1] - top[:, 1:] > tol[:, None]).all(axis=1)
+        rows = np.flatnonzero(scalar)
+        for row in rows.tolist():
+            entries = aggregate(m, tuple(m.task_ids[j] for j in idx[row].tolist()), spec).entries
+            keys[row] = [-entries[mid] for mid in m.model_ids]
+        order[rows] = np.argsort(-keys[rows], axis=1, kind="stable")
+        ranked = np.take_along_axis(keys, order, axis=1)
+        group = np.zeros_like(order)
+        np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=group[:, 1:])
         chunks.append(_top((group * n + order).astype(dtype), n, k))
     codes = np.full((len(subsets), max(c.shape[1] for c in chunks)), -1, dtype=dtype)
     for start, chunk in zip(range(0, len(subsets), _CHUNK), chunks):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +241,23 @@ def test_elimination_single_task_equals_score_order():
         elim = elimination_ranking(m)
         by_score = rank_models(arithmetic_mean(m).per_model, higher_is_better=True)
         assert elim.entries == by_score.entries
+
+
+
+def test_elimination_entries_follow_model_order_whatever_the_hash_seed():
+    # The tie groups are frozensets, which iterate in str-hash order.
+    code = ("from rankaudit.aggregate import elimination_ranking\n"
+            "from rankaudit.scorebank import ScoreMatrix\n"
+            "rows = ((1.0, 2.0), (1.0, 2.0), (3.0, 0.0), (0.0, 3.0), (1.0, 2.0))\n"
+            "m = ScoreMatrix(tuple(f'm{i}' for i in range(5)), ('t1', 't2'), rows)\n"
+            "print(' '.join(elimination_ranking(m).entries))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["m0", "m1", "m2", "m3", "m4"]
 
 
 # -- dispatcher -----------------------------------------------------------------
@@ -491,3 +512,39 @@ def test_aggregate_equals_aggregate_of_the_oriented_matrix(method, m, data):
     spec = spec_for(method, m)
     for tasks in (None, subset, higher_only):
         assert outcome(mixed, tasks, spec) == outcome(orient(mixed), tasks, spec)
+
+
+@given(m=scored_matrices(), data=st.data())
+def test_weighted_means_are_the_fsum_formulas_bit_for_bit(m, data):
+    weights = data.draw(st.dictionaries(st.sampled_from(m.task_ids),
+                                        st.sampled_from([0.1, 0.5, 2.0, 3.0])))
+    groups = {t: data.draw(st.sampled_from(["g0", "g1", "g2"])) for t in m.task_ids}
+    tasks = data.draw(st.lists(st.sampled_from(m.task_ids), min_size=1, unique=True))
+    w = {t: weights.get(t, 1.0) for t in tasks}
+    by_group = {}
+    for t in tasks:
+        by_group.setdefault(groups[t], []).append(t)
+
+    def mean(x, ts):
+        return math.fsum(w[t] * x[t] for t in ts) / math.fsum(w[t] for t in ts)
+
+    arith = arithmetic_mean(m, tasks, weights).per_model
+    geo = geometric_mean(m, tasks, weights).per_model
+    macro = macro_average(m, tasks, groups, weights).per_model
+    for mid, row in zip(m.model_ids, m.scores):
+        x = dict(zip(m.task_ids, row))
+        assert arith[mid] == mean(x, tasks)
+        assert geo[mid] == math.exp(mean({t: math.log(v) for t, v in x.items()}, tasks))
+        group_means = [mean(x, ts) for ts in by_group.values()]
+        assert macro[mid] == math.fsum(group_means) / len(group_means)
+
+
+@pytest.mark.parametrize("scheme, groups", [
+    (arithmetic_mean, None),
+    (macro_average, {"t1": "g", "t2": "g"}),  # within a group
+    (macro_average, {"t1": "g1", "t2": "g2"}),  # across the group means
+])
+def test_a_sum_that_overflows_names_its_model(scheme, groups):
+    m = matrix([[1.0, 2.0], [1e308, 1e308], [3.0, 4.0]])
+    with pytest.raises(DomainError, match="overflows the float range: model 'B'$"):
+        scheme(m) if groups is None else scheme(m, group_map=groups)

@@ -621,6 +621,13 @@ def test_top_level_help_and_unknown_command_see_every_subcommand(capsys):
     ({"seed": True}, "'seed'"),
     ({"sampling_budget": 2.5}, "'sampling_budget'"),
     ({"subset_sizes": [True]}, "'subset_sizes'"),
+    ({"aggregation": {"groups": {"image": ["x"]}}}, "'groups'"),
+    ({"aggregation": {"groups": {"image": None}}}, "'groups'"),
+    ({"aggregation": {"weights": {"image": True}}}, "'weights'"),
+    ({"aggregation": {"weights": {"image": "2"}}}, "'weights'"),
+    ({"aggregation": {"weights": {"image": 10**400}}}, "'weights'"),
+    ({"aggregation": {"bin_width": True}}, "'bin_width'"),
+    ({"aggregation": {"bin_width": "2"}}, "'bin_width'"),
 ])
 def test_exit_code_2_for_malformed_config_value(bad, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

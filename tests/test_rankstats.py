@@ -184,6 +184,27 @@ def test_tau_agrees_with_scipy():
         assert kendall_tau_b(a, b) == pytest.approx(expected, abs=1e-12)
 
 
+
+def test_tau_is_exactly_one_on_identical_and_minus_one_on_reversed_rankings():
+    for n in range(2, 61):
+        a = rank_models({f"m{i}": float(i) for i in range(n)})
+        b = rank_models({f"m{i}": float(-i) for i in range(n)})
+        assert kendall_tau_b(a, a) == 1.0
+        assert kendall_tau_b(a, b) == -1.0
+
+
+@given(st.integers(2, 12).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 3), min_size=n, max_size=n)] * 2)))
+def test_tau_never_leaves_the_unit_interval(values):
+    a, b = (rank_models({f"m{i}": float(v) for i, v in enumerate(vs)}) for vs in values)
+    try:
+        tau = kendall_tau_b(a, b)
+    except UndefinedCorrelationError:
+        return
+    assert -1.0 <= tau <= 1.0
+    assert kendall_tau_b(a, a) == 1.0
+
+
 # -- top-k ------------------------------------------------------------------------
 
 

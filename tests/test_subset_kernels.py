@@ -125,6 +125,21 @@ def test_separated_means_and_rank_kernels_stay_batched(scalar_calls):
     assert scalar_calls == []
 
 
+
+@pytest.mark.parametrize("method", ["macro_average", "elimination_ranking"])
+def test_schemes_without_a_kernel_call_aggregate_once_per_subset_in_order(method,
+                                                                          scalar_calls):
+    rng = np.random.default_rng(5)
+    m = build(rng.integers(0, 4, size=(6, 5)), {"t1": MetricSpec(direction=LOWER)})
+    spec = AggregationSpec(method, group_map={t: f"g{j % 2}" for j, t in enumerate(m.task_ids)})
+    for size in (1, 2, 3):
+        subsets = list(enumerate_subsets(m.task_ids, size))
+        scalar_calls.clear()
+        result = unique_topk_audit(m, spec, size, 3)
+        assert scalar_calls == subsets
+        assert result.per_subset_topk == oracle(m, spec, subsets, 3)
+
+
 def test_scalar_audit_orients_once(monkeypatch):
     # macro_average has no kernel, so every subset goes through `aggregate`.
     calls = []
