@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .ranking import Ranking, fractional_ranks, rank_models
 from .scorebank import HIGHER, ScoreMatrix, orient
-from .util import checked_fsum
+from .util import checked_fsum, positive
 
 @dataclass(frozen=True)
 class AggregationSpec:
@@ -37,7 +37,8 @@ class AggregationSpec:
 
     bin_width is used only by robust_average_rank, group_map only by
     macro_average, and weights only by the mean-based schemes (rank-based
-    schemes deliberately ignore weights).
+    schemes deliberately ignore weights).  bin_width and every weight
+    must be positive and finite.
     """
 
     method: str = "arithmetic_mean"
@@ -48,12 +49,9 @@ class AggregationSpec:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"unknown aggregation method {self.method!r}")
-        if not (self.bin_width > 0):
-            raise ConfigError(f"bin_width must be positive, got {self.bin_width}")
-        if self.weights is not None:
-            for tid, w in self.weights.items():
-                if not (w > 0):
-                    raise ConfigError(f"weight for task {tid!r} must be positive, got {w}")
+        positive(self.bin_width, "bin_width")
+        for tid, w in (self.weights or {}).items():
+            positive(w, f"weight for task {tid!r}")
 
 
 @dataclass(frozen=True)
@@ -94,16 +92,9 @@ def _oriented_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, 
 def _resolve_weights(
     m: ScoreMatrix, tasks: Sequence[str], weights: Mapping[str, float] | None
 ) -> list[float]:
-    out = []
-    for t in tasks:
-        if weights is not None and t in weights:
-            w = float(weights[t])
-        else:
-            w = m.metrics[t].weight
-        if not (w > 0):
-            raise ConfigError(f"weight for task {t!r} must be positive, got {w}")
-        out.append(w)
-    return out
+    weights = weights or {}
+    return [positive(float(weights[t]), f"weight for task {t!r}") if t in weights
+            else m.metrics[t].weight for t in tasks]
 
 
 def _weighted_means(m: ScoreMatrix, rows: Sequence[Sequence[float]],
@@ -146,18 +137,26 @@ def geometric_mean(
 
 
 def median_score(m: ScoreMatrix, subset: Sequence[str] | None = None) -> AggregateResult:
-    """Per-model median over the subset (even count: mean of the two central values)."""
+    """Per-model median over the subset (even count: mean of the two central values).
+
+    A mean of two central values beyond the float range is a DomainError:
+    in one infinite median, models would tie.
+    """
     tasks = _oriented_tasks(m, subset)
-    arr = m.to_array(tasks)
+    n = len(tasks)
     values = {}
-    for mid, row in zip(m.model_ids, arr):
+    for mid, row in zip(m.model_ids, m.to_array(tasks).tolist()):
         s = sorted(row)
-        n = len(s)
-        if n % 2:
-            values[mid] = float(s[n // 2])
-        else:
-            values[mid] = float((s[n // 2 - 1] + s[n // 2]) / 2.0)
+        values[mid] = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2.0
+        if not math.isfinite(values[mid]):
+            raise DomainError(f"median overflows the float range: model {mid!r}")
     return AggregateResult(values, higher_is_better=True)
+
+
+def task_group(m: ScoreMatrix, task: str, group_map: Mapping[str, str] | None) -> str | None:
+    """The group of a task: its group_map entry, else its metric's group, else None."""
+    g = group_map.get(task) if group_map else None
+    return m.metrics[task].group if g is None else g
 
 
 def macro_average(
@@ -168,17 +167,13 @@ def macro_average(
 ) -> AggregateResult:
     """Unweighted mean over groups of the weighted mean within each group.
 
-    Groups come from `group_map` where given, falling back to the task's
-    metric metadata; a selected task without a group is an error.
+    Groups come from `task_group`; a selected task without a group is an
+    error.
     """
     tasks = _oriented_tasks(m, subset)
     groups: dict[str, list[int]] = {}
     for j, t in enumerate(tasks):
-        g = None
-        if group_map is not None:
-            g = group_map.get(t)
-        if g is None:
-            g = m.metrics[t].group
+        g = task_group(m, t, group_map)
         if g is None:
             raise ConfigError(f"task {t!r} has no group; macro-average needs a total group map")
         groups.setdefault(g, []).append(j)
@@ -216,8 +211,7 @@ def robust_average_rank(
     Scores falling in the same bucket tie, which makes the ranking robust
     to sub-bucket score noise.  Buckets are anchored at zero.
     """
-    if not (bin_width > 0):
-        raise ConfigError(f"bin_width must be positive, got {bin_width}")
+    positive(bin_width, "bin_width")
     tasks = _oriented_tasks(m, subset)
     return _mean_rank(m, _bins(m.to_array(tasks), bin_width, m.model_ids, tasks))
 
@@ -357,7 +351,10 @@ def _mean_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> Subset
     sum of these with a margin of two.
     """
     w = np.array(_resolve_weights(m, m.task_ids, spec.weights))
-    terms = x * w
+    # An overflowed term makes keys non-finite (0 * inf is NaN), and the
+    # audit settles such subsets on the scalar path.
+    with np.errstate(over="ignore"):
+        terms = x * w
     col_mag = np.abs(terms).max(axis=0)
     n_tasks = x.shape[1]
 

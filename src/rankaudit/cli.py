@@ -17,22 +17,14 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import __version__
-from .aggregate import METHODS, AggregationSpec, aggregate
-from .errors import (
-    AuditError,
-    ConfigError,
-    DegenerateInputError,
-    InputError,
-    ParseError,
-    SchemaError,
-)
+from .aggregate import METHODS, AggregationSpec, aggregate, task_group
+from .errors import AuditError, ConfigError, DegenerateInputError, InputError, SchemaError
 from .ranking import top_k
 from .rankstats import (
     DEFAULT_SAMPLING_BUDGET,
@@ -54,7 +46,23 @@ from .significance import (
     prob_a_le_b,
     wilcoxon_signed_rank,
 )
-from .util import checked_fsum, derive_seed
+from .util import (
+    array,
+    checked_fsum,
+    derive_seed,
+    integer,
+    number,
+    parse_json,
+    record,
+    table,
+    text,
+)
+
+
+# --normalize choice -> preprocessing applied to the matrix before aggregation.
+_NORMALIZE: dict[str, Callable[[ScoreMatrix], ScoreMatrix]] = {
+    "none": lambda m: m, "orient": orient, "human": human_normalize,
+}
 
 
 @dataclass
@@ -62,9 +70,9 @@ class AuditConfig:
     """Configuration for the audit-style commands.
 
     Mirrors the JSON config file: {"matrix": ..., "metrics": ...,
-    "aggregation": {"method", "bin_width", "weights", "groups"},
-    "subset_sizes": [...], "ks": [...], "out": ..., "sampling_budget": ...,
-    "seed": ..., "normalize": "none"|"orient"|"human"}.
+    "matrix_format": ..., "aggregation": {"method", "bin_width", "weights",
+    "groups"}, "subset_sizes": [...], "ks": [...], "out": ...,
+    "sampling_budget": ..., "seed": ..., "normalize": "none"|"orient"|"human"}.
     """
 
     matrix_path: str | None = None
@@ -78,102 +86,32 @@ class AuditConfig:
     seed: int = 0
     normalize: str = "none"
 
-    def validate(self, n_tasks: int) -> None:
-        for k in self.ks:
-            if k < 1:
-                raise ConfigError(f"k must be >= 1, got {k}")
-        if self.sampling_budget < 1:
-            raise ConfigError(f"sampling_budget must be >= 1, got {self.sampling_budget}")
-        for size in self.subset_sizes:
-            if not 1 <= size <= n_tasks:
-                raise ConfigError(f"subset size {size} outside [1, {n_tasks}]")
-        if self.normalize not in ("none", "orient", "human"):
-            raise ConfigError(f"normalize must be none/orient/human, got {self.normalize!r}")
+    def __post_init__(self) -> None:
+        if self.normalize not in _NORMALIZE:
+            raise ConfigError(f"normalize must be one of {list(_NORMALIZE)}, "
+                              f"got {self.normalize!r}")
 
 
-def _config_value(doc: Mapping[str, Any], key: str, convert: Callable[[Any], Any],
-                  default: Any, where: str) -> Any:
-    """doc[key] passed through convert (default if absent or null).
-
-    A value convert rejects is a ConfigError that names the key.
-    """
-    if doc.get(key) is None:
-        return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, AttributeError, OverflowError):
-        raise ConfigError(f"{where}: invalid value for {key!r}: {doc[key]!r}") from None
+# JSON key -> field name, where the two differ.
+_FIELDS = {"matrix": "matrix_path", "metrics": "metrics_path", "out": "output_dir",
+           "groups": "group_map"}
 
 
-def _text(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a string")
-    return value
+def _build(cls: Callable[..., Any], values: Mapping[str, Any]) -> Any:
+    return cls(**{_FIELDS.get(key, key): v for key, v in values.items()})
 
 
-def _int(value: Any) -> int:
-    """A JSON integer: booleans, other numbers and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError("expected an integer")
-    return value
-
-
-def _number(value: Any) -> float:
-    """A JSON number: booleans and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected a number")
-    return float(value)
-
-
-def _ints(value: Any) -> list[int]:
-    if not isinstance(value, list):
-        raise TypeError("expected a list")
-    return [_int(v) for v in value]
-
-
-def _spec_from_dict(raw: Any, where: str) -> AggregationSpec:
-    if not isinstance(raw, dict):
-        raise TypeError("expected an object")
-    unknown = set(raw) - {"method", "bin_width", "weights", "groups"}
-    if unknown:
-        raise SchemaError(f"unknown aggregation key(s): {sorted(unknown)}")
-    return AggregationSpec(
-        method=_config_value(raw, "method", _text, "arithmetic_mean", where),
-        bin_width=_config_value(raw, "bin_width", _number, 1.0, where),
-        weights=_config_value(raw, "weights",
-                              lambda v: {t: _number(w) for t, w in v.items()}, None, where),
-        group_map=_config_value(raw, "groups",
-                                lambda v: {t: _text(g) for t, g in v.items()}, None, where),
-    )
+_AGGREGATION = record({"method": text, "bin_width": number, "weights": table(number),
+                       "groups": table(text)})
+_CONFIG = record({"matrix": text, "metrics": text, "matrix_format": text,
+                  "aggregation": lambda raw: _build(AggregationSpec, _AGGREGATION(raw)),
+                  "subset_sizes": array(integer), "ks": array(integer), "out": text,
+                  "sampling_budget": integer, "seed": integer, "normalize": text})
 
 
 def load_config(path: str) -> AuditConfig:
-    where = f"config {path}"
-    doc = _parse_json(Path(path).read_bytes(), where)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: must be a JSON object")
-    cfg = AuditConfig()
-    cfg.matrix_path = _config_value(doc, "matrix", _text, None, where)
-    cfg.metrics_path = _config_value(doc, "metrics", _text, None, where)
-    cfg.matrix_format = _config_value(doc, "matrix_format", _text, None, where)
-    cfg.aggregation = _config_value(doc, "aggregation",
-                                    lambda raw: _spec_from_dict(raw, f"{where}: aggregation"),
-                                    cfg.aggregation, where)
-    cfg.subset_sizes = _config_value(doc, "subset_sizes", _ints, [], where)
-    cfg.ks = _config_value(doc, "ks", _ints, cfg.ks, where)
-    cfg.output_dir = _config_value(doc, "out", _text, None, where)
-    cfg.sampling_budget = _config_value(doc, "sampling_budget", _int, DEFAULT_SAMPLING_BUDGET,
-                                        where)
-    cfg.seed = _config_value(doc, "seed", _int, 0, where)
-    cfg.normalize = _config_value(doc, "normalize", _text, "none", where)
-    return cfg
-
-
-def _parse_json(data: bytes, where: str) -> Any:
-    try:
-        return json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{where}: not valid JSON: {exc}") from None
+    return parse_json(Path(path).read_bytes(), f"config {path}",
+                      lambda doc: _build(AuditConfig, _CONFIG(doc)))
 
 
 # -- shared option plumbing ----------------------------------------------
@@ -189,7 +127,7 @@ def _add_common(parser: argparse.ArgumentParser, matrix: bool = True) -> None:
                             help="aggregation scheme")
         parser.add_argument("--bin-width", type=float, default=None,
                             help="bucket width for robust_average_rank")
-        parser.add_argument("--normalize", choices=["none", "orient", "human"], default=None,
+        parser.add_argument("--normalize", choices=list(_NORMALIZE), default=None,
                             help="preprocessing applied before aggregation")
         parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--seed", type=int, default=None, help="root seed")
@@ -206,14 +144,10 @@ def _build_config(args: argparse.Namespace) -> AuditConfig:
         cfg.metrics_path = args.metrics
     if args.matrix_format:
         cfg.matrix_format = args.matrix_format
-    if args.method or args.bin_width is not None:
-        base = cfg.aggregation
-        cfg.aggregation = AggregationSpec(
-            method=args.method or base.method,
-            bin_width=args.bin_width if args.bin_width is not None else base.bin_width,
-            weights=base.weights,
-            group_map=base.group_map,
-        )
+    if args.method:
+        cfg.aggregation = replace(cfg.aggregation, method=args.method)
+    if args.bin_width is not None:
+        cfg.aggregation = replace(cfg.aggregation, bin_width=args.bin_width)
     if getattr(args, "sizes", None):
         cfg.subset_sizes = _int_list(args.sizes, "--sizes")
     if getattr(args, "ks", None):
@@ -254,13 +188,8 @@ def _prepare(args: argparse.Namespace) -> tuple[AuditConfig, ScoreMatrix, dict[s
     fmt = cfg.matrix_format
     if fmt is None:
         fmt = "json" if str(cfg.matrix_path).endswith(".json") else "csv"
-    m = load_matrix(matrix_bytes, fmt, metrics)
-    if cfg.normalize == "orient":
-        m = orient(m)
-    elif cfg.normalize == "human":
-        m = human_normalize(m)
+    m = _NORMALIZE[cfg.normalize](load_matrix(matrix_bytes, fmt, metrics))
     cfg.subset_sizes = cfg.subset_sizes or list(range(1, m.n_tasks + 1))
-    cfg.validate(n_tasks=m.n_tasks)
     return cfg, m, inputs
 
 
@@ -361,9 +290,7 @@ def cmd_corr(args: argparse.Namespace) -> int:
     per_task = subset_tau_profile(m, spec, [(t,) for t in m.task_ids])
     groups: dict[str, list[str]] = {}
     for t in m.task_ids:
-        g = m.metrics[t].group
-        if spec.group_map and t in spec.group_map:
-            g = spec.group_map[t]
+        g = task_group(m, t, spec.group_map)
         if g is not None:
             groups.setdefault(g, []).append(t)
     per_group = (
@@ -435,26 +362,27 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replicate_list(value: Any) -> list[float]:
+    reps = array(number)(value)
+    if not reps:
+        raise ValueError("expected a non-empty array")
+    return reps
+
+
+_REPLICATES = record(
+    {"datasets": table(record({"A": _replicate_list, "B": _replicate_list},
+                              required=["A", "B"], extra_keys=True))},
+    required=["datasets"], extra_keys=True)
+
+
 def _load_replicates(path: str) -> tuple[dict[str, list[float]], dict[str, list[float]], bytes]:
     data = Path(path).read_bytes()
-    doc = _parse_json(data, f"replicates {path}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("datasets"), dict):
-        raise SchemaError('replicate file must be {"datasets": {id: {"A": [...], "B": [...]}}}')
-    reps_a: dict[str, list[float]] = {}
-    reps_b: dict[str, list[float]] = {}
-    for dataset, entry in doc["datasets"].items():
-        if not isinstance(entry, dict) or "A" not in entry or "B" not in entry:
-            raise SchemaError(f"dataset {dataset!r} must provide 'A' and 'B' replicate lists")
-        for side, reps in (("A", reps_a), ("B", reps_b)):
-            if not isinstance(entry[side], list) or not entry[side]:
-                raise SchemaError(f"dataset {dataset!r}: {side!r} must be a non-empty list")
-            try:
-                reps[dataset] = [float(x) for x in entry[side]]
-            except (TypeError, ValueError):
-                raise ParseError(f"dataset {dataset!r}: replicates must be numeric") from None
-    if not reps_a:
-        raise SchemaError("replicate file contains no datasets")
-    return reps_a, reps_b, data
+    where = f"replicates {path}"
+    datasets = parse_json(data, where, _REPLICATES)["datasets"]
+    if not datasets:
+        raise SchemaError(f"{where}: contains no datasets")
+    return ({d: sides["A"] for d, sides in datasets.items()},
+            {d: sides["B"] for d, sides in datasets.items()}, data)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

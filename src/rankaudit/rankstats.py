@@ -190,8 +190,10 @@ def _subset_codes(
     kernel call, where `spec` has a kernel.  A subset is settled by the
     scalar `aggregate` instead, with minus its ranks as keys, when the
     scheme has no kernel, when it touches a missing cell, where that call
-    raises the scalar path's MissingScoreError, or when a float kernel
-    cannot certify the order of its top min(k + 1, n) keys.  Each row's
+    raises the scalar path's MissingScoreError, when a kernel key is not
+    finite, where an overflow would tie models and the scalar path raises
+    its DomainError, or when a float kernel cannot certify the order of
+    its top min(k + 1, n) keys.  Each row's
     models are sorted by key and equal keys form a tie group: certified
     keys are strictly ordered, so this gives the scalar path's Top-k.
     """
@@ -211,12 +213,10 @@ def _subset_codes(
         order = np.empty(keys.shape, dtype=np.intp)
         scalar = np.ones(len(idx), dtype=bool)
         if factory is not None:
-            # A sum that overflows leaves an infinite tol or a NaN gap, which
-            # certifies nothing; the scalar path then raises its DomainError.
             with np.errstate(over="ignore", invalid="ignore"):
                 keys, tol = subset_keys(idx)
                 order = np.argsort(-keys, axis=1, kind="stable")
-                scalar = col_missing[idx].any(axis=1)
+                scalar = col_missing[idx].any(axis=1) | ~np.isfinite(keys).all(axis=1)
                 if tol is not None:
                     top = np.take_along_axis(keys, order[:, :n_cert], axis=1)
                     scalar |= ~(top[:, :-1] - top[:, 1:] > tol[:, None]).all(axis=1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .util import derive_seed
+from .util import derive_seed, positive
 
 NAIVE = "naive"
 LADDER = "ladder"
@@ -54,16 +54,14 @@ def new_holdout(
     """Create a server with n hidden uniform-random binary labels.
 
     Under the ladder mechanism `step` defaults to 1/sqrt(n) and must be
-    positive.
+    positive and finite.
     """
     if n < 1:
         raise ConfigError(f"test-set size must be >= 1, got {n}")
     if mechanism not in (NAIVE, LADDER):
         raise ConfigError(f"mechanism must be {NAIVE!r} or {LADDER!r}, got {mechanism!r}")
     if mechanism == LADDER:
-        step = 1.0 / math.sqrt(n) if step is None else float(step)
-        if not (step > 0):
-            raise ConfigError(f"ladder step must be positive, got {step}")
+        step = positive(1.0 / math.sqrt(n) if step is None else float(step), "ladder step")
     else:
         step = None
     rng = np.random.default_rng(derive_seed(seed, "holdout-labels"))

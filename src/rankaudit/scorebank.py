@@ -25,11 +25,10 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, MissingScoreError, ParseError, SchemaError
+from .util import array, number, parse_json, positive, record, table, text
 
 HIGHER = "higher"
 LOWER = "lower"
-
-_METRIC_KEYS = {"direction", "group", "weight", "random_baseline", "human_reference"}
 
 
 @dataclass(frozen=True)
@@ -37,9 +36,10 @@ class MetricSpec:
     """Per-task metric metadata.
 
     direction says whether larger raw scores are better.  group is an
-    optional label used by macro-averaging.  weight (strictly positive)
+    optional label used by macro-averaging.  weight (positive and finite)
     is the default weight used by the weighted means.  The two optional
-    baselines anchor human-normalization.
+    baselines anchor human-normalization; given both, their difference
+    must be finite and non-zero.
     """
 
     direction: str = HIGHER
@@ -51,11 +51,12 @@ class MetricSpec:
     def __post_init__(self) -> None:
         if self.direction not in (HIGHER, LOWER):
             raise ConfigError(f"direction must be '{HIGHER}' or '{LOWER}', got {self.direction!r}")
-        if not (self.weight > 0):
-            raise ConfigError(f"metric weight must be positive, got {self.weight}")
+        positive(self.weight, "metric weight")
         if self.random_baseline is not None and self.human_reference is not None:
-            if self.random_baseline == self.human_reference:
-                raise ConfigError("random_baseline and human_reference must differ")
+            span = self.human_reference - self.random_baseline
+            if not (span != 0 and math.isfinite(span)):
+                raise ConfigError(f"human_reference - random_baseline must be finite and "
+                                  f"non-zero, got {span}")
 
 
 @dataclass(frozen=True)
@@ -248,38 +249,16 @@ def _as_text(source: bytes | str | IO, what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
-def parse_metric_spec(task_id: str, raw: Mapping[str, object]) -> MetricSpec:
-    unknown = set(raw) - _METRIC_KEYS
-    if unknown:
-        raise SchemaError(f"task {task_id!r}: unknown metric key(s) {sorted(unknown)}")
-    kwargs: dict = {}
-    if "direction" in raw:
-        kwargs["direction"] = raw["direction"]
-    if "group" in raw:
-        kwargs["group"] = raw["group"]
-    for key in ("weight", "random_baseline", "human_reference"):
-        if key in raw and raw[key] is not None:
-            try:
-                kwargs[key] = float(raw[key])  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                raise ParseError(f"task {task_id!r}: {key} is not numeric") from None
-    return MetricSpec(**kwargs)
+_METRIC = record({"direction": text, "group": text, "weight": number,
+                  "random_baseline": number, "human_reference": number})
+# {task_id: metric entry} -> {task_id: MetricSpec}
+_METRIC_SPECS = table(lambda entry: MetricSpec(**_METRIC(entry)))
+_SIDECAR = record({"tasks": _METRIC_SPECS}, required=["tasks"], extra_keys=True)
 
 
 def load_metrics(source: bytes | str | IO) -> dict[str, MetricSpec]:
     """Parse a sidecar metric-metadata JSON: {"tasks": {task_id: {...}}}."""
-    try:
-        doc = json.loads(_as_text(source, "metric sidecar"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"metric sidecar is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), dict):
-        raise SchemaError('metric sidecar must be {"tasks": {...}}')
-    out = {}
-    for tid, raw in doc["tasks"].items():
-        if not isinstance(raw, dict):
-            raise SchemaError(f"task {tid!r}: metric entry must be an object")
-        out[tid] = parse_metric_spec(tid, raw)
-    return out
+    return parse_json(_as_text(source, "metric sidecar"), "metric sidecar", _SIDECAR)["tasks"]
 
 
 def _parse_cell(text: str, row_no: int, col_name: str) -> float | None:
@@ -348,50 +327,17 @@ def _load_csv(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatri
     return ScoreMatrix(tuple(model_ids), task_ids, tuple(rows), dict(metrics or {}))
 
 
-def _load_json(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatrix:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"matrix stream is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("JSON matrix must be an object")
-    for key in ("models", "tasks", "scores"):
-        if key not in doc:
-            raise SchemaError(f"JSON matrix lacks {key!r}")
-    for key in ("models", "tasks"):
-        if not isinstance(doc[key], list):
-            raise SchemaError(f"{key!r} must be an array")
-    model_ids = tuple(str(m) for m in doc["models"])
-    task_ids = tuple(str(t) for t in doc["tasks"])
-    raw_scores = doc["scores"]
-    if not isinstance(raw_scores, list):
-        raise SchemaError("'scores' must be an array of arrays")
-    rows = []
-    for i, raw_row in enumerate(raw_scores):
-        if not isinstance(raw_row, list):
-            raise SchemaError("'scores' must be an array of arrays")
-        cells = []
-        for j, cell in enumerate(raw_row):
-            if cell is None:
-                cells.append(None)
-            elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                if not math.isfinite(cell):
-                    raise ParseError(f"row {i + 1}, column {j + 1}: non-finite score")
-                cells.append(float(cell))
-            else:
-                raise ParseError(
-                    f"row {i + 1}, column {j + 1}: cannot parse {cell!r} as a number"
-                )
-        rows.append(tuple(cells))
-    merged: dict[str, MetricSpec] = {}
-    if "metrics" in doc and doc["metrics"] is not None:
-        if not isinstance(doc["metrics"], dict):
-            raise SchemaError("'metrics' must be an object keyed by task id")
-        for tid, raw in doc["metrics"].items():
-            merged[tid] = parse_metric_spec(tid, raw)
-    if metrics:
-        merged.update(metrics)
-    return ScoreMatrix(model_ids, task_ids, tuple(rows), merged)
+_JSON_MATRIX = record({"models": array(text), "tasks": array(text),
+                       "scores": array(array(lambda cell: None if cell is None else number(cell))),
+                       "metrics": _METRIC_SPECS},
+                      required=["models", "tasks", "scores"], extra_keys=True)
+
+
+def _load_json(data: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatrix:
+    doc = parse_json(data, "matrix stream", _JSON_MATRIX)
+    merged = {**doc.get("metrics", {}), **(metrics or {})}
+    return ScoreMatrix(tuple(doc["models"]), tuple(doc["tasks"]),
+                       tuple(map(tuple, doc["scores"])), merged)
 
 
 # -- serialization ------------------------------------------------------

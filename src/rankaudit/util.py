@@ -1,12 +1,23 @@
-"""Small shared helpers: seed derivation, stable hashing and checked sums."""
+"""Small shared helpers: seed derivation, stable hashing, checked sums, JSON input.
+
+Every JSON input (config, metric sidecar, JSON matrix, replicates) is
+decoded by `parse_json` and typed by the readers below, so the rules for
+a well-formed value live here once: strings are JSON strings, integers
+JSON integers, numbers finite JSON numbers (never booleans or strings),
+and a null value means the key is absent.
+"""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-from typing import Iterable
+import sys
+from typing import Any, Callable, Collection, Iterable, Mapping
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError, ParseError, SchemaError
+
+Reader = Callable[[Any], Any]
 
 
 def derive_seed(root_seed: int, *labels: object) -> int:
@@ -30,8 +41,113 @@ def sha256_hex(data: bytes) -> str:
 
 
 def checked_fsum(terms: Iterable[float], where: str) -> float:
-    """Correctly rounded sum; a sum beyond the float range is a DomainError."""
+    """Correctly rounded sum; a sum beyond the float range is a DomainError.
+
+    That includes a term that already overflowed to inf: an infinite sum
+    would tie every model whose sum overflows.
+    """
     try:
-        return math.fsum(terms)
+        total = math.fsum(terms)
     except (OverflowError, ValueError):
-        raise DomainError(f"sum overflows the float range: {where}") from None
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"sum overflows the float range: {where}")
+    return total
+
+
+def positive(value: float, name: str) -> float:
+    """value if it is positive and finite, else a ConfigError naming it."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+# -- JSON input ------------------------------------------------------------
+
+
+def parse_json(data: bytes | str, where: str, reader: Reader) -> Any:
+    """The JSON document in data, typed by reader.
+
+    Bad UTF-8 or bad JSON is a ParseError and a value the reader rejects a
+    SchemaError.  Each names where; the latter then the path of keys and
+    items down to the rejected value.
+    """
+    try:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{where}: not valid JSON: {exc}") from None
+    try:
+        return reader(doc)
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+def _at(label: str, reader: Reader, value: Any) -> Any:
+    try:
+        return reader(value)
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise TypeError(f"{label}: {exc}") from None
+
+
+def text(value: Any) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def integer(value: Any) -> int:
+    """A JSON integer; booleans and other numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def number(value: Any) -> float:
+    """A finite JSON number as a float; booleans, strings and 1e400 are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def array(reader: Reader) -> Reader:
+    """A reader of a JSON array, each item through reader."""
+    def read_array(value: Any) -> list:
+        if not isinstance(value, list):
+            raise TypeError(f"expected an array, got {value!r}")
+        return [_at(f"item {i}", reader, item) for i, item in enumerate(value)]
+    return read_array
+
+
+def table(reader: Reader) -> Reader:
+    """A reader of a JSON object keyed by ids, each value through reader."""
+    def read_table(value: Any) -> dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"expected an object, got {value!r}")
+        return {key: _at(repr(key), reader, item) for key, item in value.items()}
+    return read_table
+
+
+def record(readers: Mapping[str, Reader], required: Collection[str] = (),
+           extra_keys: bool = False) -> Callable[[Any], dict]:
+    """A reader of a JSON object with named keys: a dict of the present ones.
+
+    Each present, non-null key goes through its reader; an absent or null
+    key is left out, so the caller's defaults apply, unless it is
+    required.  Unknown keys are rejected unless extra_keys.
+    """
+    def read_record(value: Any) -> dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"expected an object, got {value!r}")
+        unknown = set(value) - set(readers)
+        if unknown and not extra_keys:
+            raise TypeError(f"unknown key(s) {sorted(unknown)}")
+        out = {}
+        for key, reader in readers.items():
+            if value.get(key) is not None:
+                out[key] = _at(repr(key), reader, value[key])
+            elif key in required:
+                raise TypeError(f"lacks {key!r}")
+        return out
+    return read_record

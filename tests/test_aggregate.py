@@ -21,6 +21,7 @@ from rankaudit.aggregate import (
     macro_average,
     median_score,
     robust_average_rank,
+    task_group,
 )
 from rankaudit.errors import ConfigError, DomainError, MissingScoreError
 from rankaudit.ranking import rank_models
@@ -144,6 +145,13 @@ def test_macro_weighted_within_group():
     res = macro_average(matrix(rows), group_map=groups, weights={"t4": 3.0})
     # G2 weighted mean = (60*3 + 40) / 4 = 55
     assert res.per_model["A"] == pytest.approx((80 + 55 + 95) / 3.0)
+
+
+def test_task_group_takes_the_group_map_entry_then_the_metric_group():
+    m = matrix([[1.0, 2.0, 3.0]], metrics={"t1": MetricSpec(group="a"),
+                                           "t2": MetricSpec(group="b")})
+    assert [task_group(m, t, {"t1": "x"}) for t in m.task_ids] == ["x", "b", None]
+    assert [task_group(m, t, None) for t in m.task_ids] == ["a", "b", None]
 
 
 def test_macro_requires_total_group_map():
@@ -332,6 +340,12 @@ def test_spec_validation():
         AggregationSpec(bin_width=0.0)
     with pytest.raises(ConfigError):
         AggregationSpec(weights={"t1": -1.0})
+    # a value that overflowed on the way in would rank by file order or tie everyone
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="bin_width must be positive and finite"):
+            AggregationSpec(bin_width=bad)
+        with pytest.raises(ConfigError, match="weight for task 't1' must be positive and finite"):
+            AggregationSpec(weights={"t1": bad})
 
 
 # -- cross-method invariants ------------------------------------------------------

@@ -628,11 +628,49 @@ def test_top_level_help_and_unknown_command_see_every_subcommand(capsys):
     ({"aggregation": {"weights": {"image": 10**400}}}, "'weights'"),
     ({"aggregation": {"bin_width": True}}, "'bin_width'"),
     ({"aggregation": {"bin_width": "2"}}, "'bin_width'"),
+    ({"subset_size": [1]}, "'subset_size'"),
 ])
 def test_exit_code_2_for_malformed_config_value(bad, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"matrix": MATRIX, **bad}))
     code, _, err = run(capsys, "audit", "--config", str(cfg))
+    assert code == 2
+    assert "input error" in err and key in err
+
+
+JSON_MATRIX = '{"models": %s, "tasks": ["t1"], "scores": [[1.0], %s], "metrics": {"t1": %s}}'
+SIDECAR = ["aggregate", "--matrix", MATRIX, "--metrics", "{file}"]
+
+
+# Each JSON input, written as text so that a literal such as 1e400 reaches the reader.
+@pytest.mark.parametrize("text, argv, key", [
+    ('{"tasks": {"image": {"weight": true}}}', SIDECAR, "'image': 'weight'"),
+    ('{"tasks": {"image": {"weight": "2"}}}', SIDECAR, "'image': 'weight'"),
+    ('{"tasks": {"image": {"weight": 1e400}}}', SIDECAR, "'image': 'weight'"),
+    ('{"tasks": {"image": {"group": ["x"]}}}', [*SIDECAR, "--method", "macro_average"],
+     "'image': 'group'"),
+    ('{"tasks": {"image": {"random_baseline": -1e308, "human_reference": 1e308}}}',
+     [*SIDECAR, "--normalize", "human"], "'image': human_reference - random_baseline"),
+    (JSON_MATRIX % ('["a", "b"]', "[2.0]", '{"weight": "2"}'), ["aggregate", "--matrix", "{file}"],
+     "'t1': 'weight'"),
+    (JSON_MATRIX % ("[null, 1]", "[2.0]", "{}"), ["aggregate", "--matrix", "{file}"], "'models'"),
+    (JSON_MATRIX % ('["a", "b"]', '["2.0"]', "{}"), ["aggregate", "--matrix", "{file}"],
+     "'scores'"),
+    ('{"datasets": {"d7": {"A": ["0.5", 0.6], "B": [0.5, 0.6]}}}',
+     ["compare", "--replicates", "{file}"], "'d7': 'A'"),
+    ('{"datasets": {"d7": {"A": [0.5, true, 0.7], "B": [0.5, 0.6]}}}',
+     ["compare", "--replicates", "{file}"], "'d7': 'A'"),
+    ('{"aggregation": {"bin_width": 1e400}}',
+     ["aggregate", "--matrix", MATRIX, "--config", "{file}"], "'bin_width'"),
+    ("{}", ["aggregate", "--matrix", MATRIX, "--bin-width", "inf"], "bin_width"),
+], ids=["sidecar-weight-true", "sidecar-weight-string", "sidecar-weight-1e400",
+        "sidecar-group-list", "sidecar-baseline-span", "matrix-inline-metrics",
+        "matrix-model-ids", "matrix-cell-string", "replicate-string", "replicate-true",
+        "config-bin-width-1e400", "flag-bin-width-inf"])
+def test_exit_code_2_for_malformed_json_value(text, argv, key, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, _, err = run(capsys, *[str(path) if arg == "{file}" else arg for arg in argv])
     assert code == 2
     assert "input error" in err and key in err
 

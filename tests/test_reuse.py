@@ -73,6 +73,9 @@ def test_construction_validation():
         new_holdout(10, "oracle")
     with pytest.raises(ConfigError):
         new_holdout(10, LADDER, step=0.0)
+    # an infinite step would hold the first report forever
+    with pytest.raises(ConfigError, match="ladder step must be positive and finite"):
+        new_holdout(10, LADDER, step=math.inf)
     assert new_holdout(16, LADDER).step == pytest.approx(0.25)  # default 1/sqrt(n)
 
 

@@ -116,6 +116,11 @@ def test_metric_spec_invariants():
     with pytest.raises(ConfigError):
         MetricSpec(random_baseline=1.0, human_reference=1.0)
     MetricSpec(random_baseline=1.0, human_reference=2.0)  # distinct is fine
+    with pytest.raises(ConfigError):
+        MetricSpec(weight=math.inf)
+    # an infinite span would scale every score to zero
+    with pytest.raises(ConfigError, match="finite and non-zero"):
+        MetricSpec(random_baseline=-1e308, human_reference=1e308)
 
 
 def test_lra_fixture_shape():

@@ -180,6 +180,9 @@ def test_missing_cell_raises_like_the_scalar_path(method):
     ("geometric_mean", [[1.0, 2.0, 3.0], [2.0, 0.0, 1.0], [3.0, 1.0, -1.0]]),
     # The exact sum 2e308 is beyond the float range, though each score is not.
     ("arithmetic_mean", [[1.0, 2.0, 3.0], [1e308, 1e308, 1.0], [3.0, 1.0, 1.0]]),
+    # Both central values are finite, their sum is not: one infinite median
+    # would tie m1 and m2.
+    ("median", [[1.0, 2.0, 3.0], [1e308, 1.6e308, 1.0], [1.5e308, 1.7e308, 1.0]]),
 ])
 def test_domain_error_matches_scalar_path(method, rows):
     m = build(rows)
@@ -191,6 +194,36 @@ def test_domain_error_matches_scalar_path(method, rows):
         unique_topk_audit(m, spec, 2, 1)
     assert str(batched.value) == str(scalar.value)
     assert "'m1'" in str(batched.value)
+
+
+# t1 weighs 2.0, so the terms 2e308 and 3e308 overflow to inf, which would tie a and b.
+WEIGHTED_OVERFLOW = ScoreMatrix(("a", "b", "c"), ("t1", "t2"),
+                                ((1e308, 1.0), (1.5e308, 2.0), (1.0, 3.0)),
+                                {"t1": MetricSpec(weight=2.0)})
+
+
+@pytest.mark.parametrize("spec", [
+    AggregationSpec("arithmetic_mean"),
+    AggregationSpec("macro_average", group_map={"t1": "g", "t2": "g"}),
+    AggregationSpec("geometric_mean", weights={"t1": 1e308}),
+])
+def test_weighted_term_overflow_is_a_domain_error_on_both_paths(spec):
+    with pytest.raises(DomainError) as scalar:
+        aggregate(WEIGHTED_OVERFLOW, None, spec)
+    with pytest.raises(DomainError) as batched:
+        unique_topk_audit(WEIGHTED_OVERFLOW, spec, 1, 2)
+    assert str(batched.value) == str(scalar.value) == "sum overflows the float range: model 'a'"
+
+
+def test_audit_exit_code_3_for_weighted_term_overflow(tmp_path, capsys):
+    matrix, metrics = tmp_path / "m.csv", tmp_path / "metrics.json"
+    matrix.write_text("model,t1,t2\na,1e308,1\nb,1.5e308,2\nc,1,3\n")
+    metrics.write_text('{"tasks": {"t1": {"weight": 2.0}}}')
+    code = main(["audit", "--matrix", str(matrix), "--metrics", str(metrics),
+                 "--sizes", "1", "--ks", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "computation error" in err and "model 'a'" in err
 
 
 def test_bin_overflow_is_a_domain_error_on_both_paths():
