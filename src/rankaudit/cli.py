@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from . import __version__
 from .aggregate import METHODS, AggregationSpec, aggregate, task_group
 from .errors import AuditError, ConfigError, DegenerateInputError, InputError, SchemaError
-from .ranking import top_k
+from .ranking import Ranking, top_k
 from .rankstats import (
     DEFAULT_SAMPLING_BUDGET,
     SubsetAuditResult,
@@ -90,6 +90,10 @@ class AuditConfig:
         if self.normalize not in _NORMALIZE:
             raise ConfigError(f"normalize must be one of {list(_NORMALIZE)}, "
                               f"got {self.normalize!r}")
+        for key, values in (("subset_sizes", self.subset_sizes), ("ks", self.ks)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{key!r} lists {repeated[0]} more than once")
 
 
 # JSON key -> field name, where the two differ.
@@ -136,31 +140,31 @@ def _add_common(parser: argparse.ArgumentParser, matrix: bool = True) -> None:
                         help="stdout rendering")
 
 
+# Flag of a matrix command -> the config key it overrides; "aggregation.<key>"
+# is a key of the "aggregation" object.
+_FLAG_KEYS = {"matrix": "matrix", "metrics": "metrics", "matrix_format": "matrix_format",
+              "method": "aggregation.method", "bin_width": "aggregation.bin_width",
+              "sizes": "subset_sizes", "ks": "ks", "budget": "sampling_budget",
+              "seed": "seed", "out": "out", "normalize": "normalize"}
+
+
 def _build_config(args: argparse.Namespace) -> AuditConfig:
+    """The config file's values, then each flag that was given on top.
+
+    A flag counts as given unless it is absent or the empty string, so
+    `--seed 0` overrides the config and `--sizes ""` does not.
+    """
     cfg = load_config(args.config) if args.config else AuditConfig()
-    if args.matrix:
-        cfg.matrix_path = args.matrix
-    if args.metrics:
-        cfg.metrics_path = args.metrics
-    if args.matrix_format:
-        cfg.matrix_format = args.matrix_format
-    if args.method:
-        cfg.aggregation = replace(cfg.aggregation, method=args.method)
-    if args.bin_width is not None:
-        cfg.aggregation = replace(cfg.aggregation, bin_width=args.bin_width)
-    if getattr(args, "sizes", None):
-        cfg.subset_sizes = _int_list(args.sizes, "--sizes")
-    if getattr(args, "ks", None):
-        cfg.ks = _int_list(args.ks, "--ks")
-    if getattr(args, "budget", None) is not None:
-        cfg.sampling_budget = args.budget
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.output_dir = args.out
-    if args.normalize:
-        cfg.normalize = args.normalize
-    return cfg
+    given: dict[str, dict[str, Any]] = {"": {}, "aggregation": {}}
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value not in (None, ""):
+            if key in ("subset_sizes", "ks"):
+                value = _int_list(value, f"--{flag}")
+            outer, _, inner = key.rpartition(".")
+            given[outer][_FIELDS.get(inner, inner)] = value
+    return replace(cfg, aggregation=replace(cfg.aggregation, **given["aggregation"]),
+                   **given[""])
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -170,10 +174,12 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
 
 
-def _prepare(args: argparse.Namespace) -> tuple[AuditConfig, ScoreMatrix, dict[str, bytes]]:
-    """Config, preprocessed matrix and raw input bytes of a matrix command.
+def _prepare(args: argparse.Namespace, title: str) -> tuple[AuditConfig, ScoreMatrix, Report]:
+    """Config, preprocessed matrix and provenance-stamped Report of a matrix command.
 
-    Subset sizes default to every size from 1 to the task count.
+    Subset sizes default to every size from 1 to the task count.  The
+    provenance options hold every resolved option that can change the
+    command's output; the seed and the input hashes sit beside them.
     """
     cfg = _build_config(args)
     if not cfg.matrix_path:
@@ -190,7 +196,14 @@ def _prepare(args: argparse.Namespace) -> tuple[AuditConfig, ScoreMatrix, dict[s
         fmt = "json" if str(cfg.matrix_path).endswith(".json") else "csv"
     m = _NORMALIZE[cfg.normalize](load_matrix(matrix_bytes, fmt, metrics))
     cfg.subset_sizes = cfg.subset_sizes or list(range(1, m.n_tasks + 1))
-    return cfg, m, inputs
+    spec = cfg.aggregation
+    options = {"aggregation": spec.method, "bin_width": spec.bin_width, "weights": spec.weights,
+               "groups": spec.group_map, "normalize": cfg.normalize}
+    if "sizes" in args:  # audit and report
+        options.update(sizes=cfg.subset_sizes, ks=cfg.ks, sampling_budget=cfg.sampling_budget)
+    if "subset" in args:  # aggregate
+        options.update(subset=args.subset.split(",") if args.subset else "all", topk=args.topk)
+    return cfg, m, Report(title, provenance_block(__version__, cfg.seed, inputs, options))
 
 
 def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text: str,
@@ -243,35 +256,34 @@ def _audit_curve(m: ScoreMatrix, cfg: AuditConfig,
               for size in cfg.subset_sizes] if cfg.ks else []
     by_size = [[audit.for_k(k) for k in cfg.ks] for audit in audits]
     results = [r for same_size in by_size for r in same_size]
-    report.add_table(
-        "Unique Top-k outcomes per subset size",
-        ["size", "k", "unique", "total", "exact"],
-        [[r.subset_size, r.k, r.unique_count, r.total_combinations,
-          "exact" if r.exact else "sampled"] for r in results],
-    )
-    csv_text = _csv_text(
-        ["size", "k", "unique", "total"],
-        [[r.subset_size, r.k, r.unique_count, r.total_combinations] for r in results],
-    )
-    return by_size, csv_text
+    rows = [[r.subset_size, r.k, r.unique_count, r.total_combinations] for r in results]
+    report.add_table("Unique Top-k outcomes per subset size",
+                     ["size", "k", "unique", "total", "exact"],
+                     [[*row, "exact" if r.exact else "sampled"] for row, r in zip(rows, results)])
+    return by_size, _csv_text(["size", "k", "unique", "total"], rows)
+
+
+def _add_ranking(report: Report, title: str, ranking: Ranking) -> list[list[Any]]:
+    """Add the `rank,model` table of ranking, best first, to report; return its rows."""
+    rows = [[ranking.entries[mid], mid] for mid in ranking.order()]
+    report.add_table(title, ["rank", "model"], rows)
+    return rows
+
+
+def _add_task_taus(report: Report, title: str, m: ScoreMatrix,
+                   spec: AggregationSpec) -> dict[tuple[str, ...], float | None]:
+    """Add each task's tau-b against the all-task ranking to report; return the profile."""
+    per_task = subset_tau_profile(m, spec, [(t,) for t in m.task_ids])
+    report.add_table(title, ["task", "tau_b"],
+                     [[t, "undefined" if tau is None else tau] for (t,), tau in per_task.items()])
+    return per_task
 
 
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    cfg, m, inputs = _prepare(args)
-    options = {
-        "aggregation": cfg.aggregation.method,
-        "sizes": cfg.subset_sizes,
-        "ks": cfg.ks,
-        "sampling_budget": cfg.sampling_budget,
-        "normalize": cfg.normalize,
-    }
-    report = Report(
-        title="Task-subset disagreement audit",
-        provenance=provenance_block(__version__, cfg.seed, inputs, options),
-    )
+    cfg, m, report = _prepare(args, "Task-subset disagreement audit")
     by_size, csv_text = _audit_curve(m, cfg, report)
     summary = [{"size": r.subset_size, "k": r.k, "unique": r.unique_count,
                 "total": r.total_combinations, "exact": r.exact}
@@ -284,10 +296,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_corr(args: argparse.Namespace) -> int:
-    cfg, m, inputs = _prepare(args)
+    cfg, m, report = _prepare(args, "Rank-correlation profile vs. full aggregate")
     spec = cfg.aggregation
-
-    per_task = subset_tau_profile(m, spec, [(t,) for t in m.task_ids])
+    per_task = _add_task_taus(report, "Per-task tau-b vs. all-task ranking", m, spec)
     groups: dict[str, list[str]] = {}
     for t in m.task_ids:
         g = task_group(m, t, spec.group_map)
@@ -297,38 +308,22 @@ def cmd_corr(args: argparse.Namespace) -> int:
         subset_tau_profile(m, spec, [tuple(ts) for ts in groups.values()]) if groups else {}
     )
 
-    agreement_specs = [("arithmetic_mean", AggregationSpec("arithmetic_mean")),
-                       ("median", AggregationSpec("median"))]
-    if spec.method not in {name for name, _ in agreement_specs}:
-        agreement_specs.append((spec.method, spec))
-    agreement = aggregator_agreement(m, [s for _, s in agreement_specs])
+    agreement_specs = [AggregationSpec("arithmetic_mean"), AggregationSpec("median")]
+    if spec.method not in {s.method for s in agreement_specs}:
+        agreement_specs.append(spec)
+    agreement = aggregator_agreement(m, agreement_specs)
 
-    options = {"aggregation": spec.method, "normalize": cfg.normalize}
-    report = Report(
-        title="Rank-correlation profile vs. full aggregate",
-        provenance=provenance_block(__version__, cfg.seed, inputs, options),
-    )
-    task_rows = [[t, "undefined" if tau is None else tau]
-                 for (t,), tau in per_task.items()]
-    report.add_table("Per-task tau-b vs. all-task ranking", ["task", "tau_b"], task_rows)
     taus = [tau for tau in per_task.values() if tau is not None]
     if taus:
         report.add_kv("Per-task tau-b summary",
                       {"mean": sum(taus) / len(taus), "min": min(taus), "max": max(taus)})
     if per_group:
-        group_rows = [["+".join(subset), "undefined" if tau is None else tau]
-                      for subset, tau in per_group.items()]
-        names = list(groups)
-        for row, name in zip(group_rows, names):
-            row[0] = f"{name} ({row[0]})"
-        report.add_table("Per-group tau-b vs. all-task ranking", ["group", "tau_b"], group_rows)
-    labels = [name for name, _ in agreement_specs]
-    report.add_table(
-        "Aggregation-scheme agreement (tau-b)",
-        ["scheme", *labels],
-        [[labels[i], *[agreement[i][j] for j in range(len(labels))]]
-         for i in range(len(labels))],
-    )
+        report.add_table("Per-group tau-b vs. all-task ranking", ["group", "tau_b"],
+                         [[f"{name} ({'+'.join(subset)})", "undefined" if tau is None else tau]
+                          for name, (subset, tau) in zip(groups, per_group.items())])
+    labels = [s.method for s in agreement_specs]
+    report.add_table("Aggregation-scheme agreement (tau-b)", ["scheme", *labels],
+                     [[label, *row] for label, row in zip(labels, agreement)])
 
     csv_rows = [["task", t, "" if tau is None else tau] for (t,), tau in per_task.items()]
     csv_rows += [["group", "+".join(subset), "" if tau is None else tau]
@@ -339,26 +334,13 @@ def cmd_corr(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    cfg, m, inputs = _prepare(args)
+    cfg, m, report = _prepare(args, "Aggregate ranking")
     subset = tuple(args.subset.split(",")) if args.subset else None
     ranking = aggregate(m, subset, cfg.aggregation)
     k = args.topk if args.topk is not None else ranking.n_models
-    tk = top_k(ranking, k)
-
-    options = {
-        "aggregation": cfg.aggregation.method,
-        "subset": list(subset) if subset else "all",
-        "normalize": cfg.normalize,
-    }
-    report = Report(
-        title="Aggregate ranking",
-        provenance=provenance_block(__version__, cfg.seed, inputs, options),
-    )
-    order_rows = [[ranking.entries[mid], mid] for mid in ranking.order()]
-    report.add_table("Ranking (rank 1 = best)", ["rank", "model"], order_rows)
-    report.add_kv(f"Top-{k}", {"models": tk.render()})
-    csv_text = _csv_text(["rank", "model"], order_rows)
-    _emit(report, args.format, cfg.output_dir, "ranking", csv_text)
+    order_rows = _add_ranking(report, "Ranking (rank 1 = best)", ranking)
+    report.add_kv(f"Top-{k}", {"models": top_k(ranking, k).render()})
+    _emit(report, args.format, cfg.output_dir, "ranking", _csv_text(["rank", "model"], order_rows))
     return 0
 
 
@@ -534,28 +516,10 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg, m, inputs = _prepare(args)
-    spec = cfg.aggregation
-    ranking = aggregate(m, None, spec)
-    options = {
-        "aggregation": spec.method,
-        "sizes": cfg.subset_sizes,
-        "ks": cfg.ks,
-        "normalize": cfg.normalize,
-    }
-    report = Report(
-        title="Leaderboard fragility report",
-        provenance=provenance_block(__version__, cfg.seed, inputs, options),
-    )
-    report.add_table("Full-benchmark ranking", ["rank", "model"],
-                     [[ranking.entries[mid], mid] for mid in ranking.order()])
+    cfg, m, report = _prepare(args, "Leaderboard fragility report")
+    _add_ranking(report, "Full-benchmark ranking", aggregate(m, None, cfg.aggregation))
     _, csv_text = _audit_curve(m, cfg, report)
-    per_task = subset_tau_profile(m, spec, [(t,) for t in m.task_ids])
-    report.add_table(
-        "Per-task tau-b vs. full ranking",
-        ["task", "tau_b"],
-        [[t, "undefined" if tau is None else tau] for (t,), tau in per_task.items()],
-    )
+    _add_task_taus(report, "Per-task tau-b vs. full ranking", m, cfg.aggregation)
     _emit(report, args.format, cfg.output_dir, "report", csv_text)
     return 0
 

@@ -31,6 +31,10 @@ LADDER = "ladder"
 class HoldoutServer:
     """Simulated test set with a query-reporting mechanism and query counter.
 
+    Holds n hidden uniform-random binary labels, drawn from seed.  Under
+    the ladder mechanism `step` defaults to 1/sqrt(n) and must be positive
+    and finite; the naive mechanism has no step.
+
     Single-writer: queries against one server must be serialized.  A
     `query_batch` of len(P) rows is len(P) queries, applied in row order.
     Independent servers (distinct seeds) are safe to run concurrently.
@@ -42,7 +46,21 @@ class HoldoutServer:
     step: float | None = None
     query_count: int = 0
     best_reported: float = 0.0
-    _labels: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    _labels: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ConfigError(f"test-set size must be >= 1, got {self.n}")
+        if self.mechanism not in (NAIVE, LADDER):
+            raise ConfigError(f"mechanism must be {NAIVE!r} or {LADDER!r}, "
+                              f"got {self.mechanism!r}")
+        if self.mechanism == LADDER:
+            self.step = positive(1.0 / math.sqrt(self.n) if self.step is None
+                                 else float(self.step), "ladder step")
+        else:
+            self.step = None
+        rng = np.random.default_rng(derive_seed(self.seed, "holdout-labels"))
+        self._labels = rng.integers(0, 2, size=self.n, dtype=np.uint8)
 
     def labels_copy(self) -> np.ndarray:
         return self._labels.copy()
@@ -51,24 +69,8 @@ class HoldoutServer:
 def new_holdout(
     n: int, mechanism: str = NAIVE, seed: int = 0, step: float | None = None
 ) -> HoldoutServer:
-    """Create a server with n hidden uniform-random binary labels.
-
-    Under the ladder mechanism `step` defaults to 1/sqrt(n) and must be
-    positive and finite.
-    """
-    if n < 1:
-        raise ConfigError(f"test-set size must be >= 1, got {n}")
-    if mechanism not in (NAIVE, LADDER):
-        raise ConfigError(f"mechanism must be {NAIVE!r} or {LADDER!r}, got {mechanism!r}")
-    if mechanism == LADDER:
-        step = positive(1.0 / math.sqrt(n) if step is None else float(step), "ladder step")
-    else:
-        step = None
-    rng = np.random.default_rng(derive_seed(seed, "holdout-labels"))
-    labels = rng.integers(0, 2, size=n, dtype=np.uint8)
-    server = HoldoutServer(n=n, mechanism=mechanism, seed=seed, step=step)
-    server._labels = labels
-    return server
+    """A server with n hidden uniform-random binary labels (see HoldoutServer)."""
+    return HoldoutServer(n=n, mechanism=mechanism, seed=seed, step=step)
 
 
 def query(server: HoldoutServer, predictions) -> float:
@@ -94,7 +96,6 @@ def query_batch(server: HoldoutServer, predictions) -> np.ndarray:
     server.query_count += len(arr)
     if server.mechanism == NAIVE:
         return accuracies
-    assert server.step is not None
     best, step = server.best_reported, server.step
     reports = np.empty(len(arr))
     for row, accuracy in enumerate(accuracies.tolist()):

@@ -24,7 +24,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MissingScoreError, ParseError, SchemaError
+from .errors import ConfigError, DomainError, MissingScoreError, ParseError, SchemaError
 from .util import array, number, parse_json, positive, record, table, text
 
 HIGHER = "higher"
@@ -217,10 +217,14 @@ def human_normalize(m: ScoreMatrix) -> NormalizedMatrix:
             )
     rb = np.array([m.metrics[t].random_baseline for t in m.task_ids], dtype=float)
     hr = np.array([m.metrics[t].human_reference for t in m.task_ids], dtype=float)
-    # A score that overflows becomes inf or NaN here, which the
-    # NormalizedMatrix rejects as a non-finite score.
     with np.errstate(over="ignore", invalid="ignore"):
         x = (m._values - rb) / (hr - rb)
+    # Every present score is finite, so a non-finite cell is an overflow.
+    overflow = np.argwhere(~(np.isfinite(x) | m._missing))
+    if len(overflow):
+        i, j = overflow[0]
+        raise DomainError(f"human normalization overflows the float range: "
+                          f"model {m.model_ids[i]!r}, task {m.task_ids[j]!r}")
     metrics = {
         tid: replace(
             m.metrics[tid], direction=HIGHER, random_baseline=0.0, human_reference=1.0

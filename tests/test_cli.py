@@ -629,6 +629,8 @@ def test_top_level_help_and_unknown_command_see_every_subcommand(capsys):
     ({"aggregation": {"bin_width": True}}, "'bin_width'"),
     ({"aggregation": {"bin_width": "2"}}, "'bin_width'"),
     ({"subset_size": [1]}, "'subset_size'"),
+    ({"ks": [1, 1]}, "'ks' lists 1 more than once"),
+    ({"subset_sizes": [2, 1, 2]}, "'subset_sizes' lists 2 more than once"),
 ])
 def test_exit_code_2_for_malformed_config_value(bad, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -663,10 +665,14 @@ SIDECAR = ["aggregate", "--matrix", MATRIX, "--metrics", "{file}"]
     ('{"aggregation": {"bin_width": 1e400}}',
      ["aggregate", "--matrix", MATRIX, "--config", "{file}"], "'bin_width'"),
     ("{}", ["aggregate", "--matrix", MATRIX, "--bin-width", "inf"], "bin_width"),
+    ("{}", ["audit", "--matrix", MATRIX, "--sizes", "1,1", "--ks", "1"],
+     "'subset_sizes' lists 1 more than once"),
+    ("{}", ["report", "--matrix", MATRIX, "--ks", "3,1,3"], "'ks' lists 3 more than once"),
 ], ids=["sidecar-weight-true", "sidecar-weight-string", "sidecar-weight-1e400",
         "sidecar-group-list", "sidecar-baseline-span", "matrix-inline-metrics",
         "matrix-model-ids", "matrix-cell-string", "replicate-string", "replicate-true",
-        "config-bin-width-1e400", "flag-bin-width-inf"])
+        "config-bin-width-1e400", "flag-bin-width-inf", "flag-sizes-repeated",
+        "flag-ks-repeated-report"])
 def test_exit_code_2_for_malformed_json_value(text, argv, key, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -767,6 +773,17 @@ def test_exit_code_3_for_geometric_domain_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_3_for_human_normalize_overflow(tmp_path, capsys):
+    # Every input is finite; (1e308 - -1e308) / (0 - -1e308) overflows.
+    matrix, metrics = tmp_path / "m.csv", tmp_path / "metrics.json"
+    matrix.write_text("model,t1\na,1e308\nb,0\n")
+    metrics.write_text('{"tasks": {"t1": {"random_baseline": -1e308, "human_reference": 0}}}')
+    code, out, err = run(capsys, "aggregate", "--matrix", str(matrix), "--metrics", str(metrics),
+                         "--normalize", "human")
+    assert code == 3 and out == ""
+    assert "computation error" in err and "model 'a', task 't1'" in err
+
+
 def test_exit_code_3_for_replicate_sum_overflow(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"datasets": {"d0": {"A": [1e308, 1e308], "B": [1.0, 2.0]}}}))
@@ -795,3 +812,110 @@ def test_provenance_hash_tracks_input_bytes(tmp_path, capsys):
     code, out2, _ = run(capsys, "aggregate", "--matrix", str(m1), "--format", "json")
     prov2 = json.loads(out2)["provenance"]["inputs"]
     assert prov1 != prov2
+
+
+# -- option precedence and provenance -----------------------------------------------
+
+
+def _provenance(stdout):
+    prov = json.loads(stdout)["provenance"]
+    return {**prov["options"], "seed": prov["seed"], "inputs": sorted(prov["inputs"])}
+
+
+# Each option that both a flag and the config can set: (config entries, flags,
+# the resolved value the provenance shows).  The flag wins.
+PRECEDENCE = {
+    "matrix": ({"matrix": "{other}"}, ["--matrix", MATRIX], {"inputs": [MATRIX]}),
+    "metrics": ({"metrics": "{other}"}, ["--metrics", METRICS],
+                {"inputs": sorted([MATRIX, METRICS])}),
+    "method": ({"aggregation": {"method": "median"}}, ["--method", "average_rank"],
+               {"aggregation": "average_rank"}),
+    "bin_width": ({"aggregation": {"bin_width": 2.0}}, ["--bin-width", "0.5"],
+                  {"bin_width": 0.5}),
+    "sizes": ({"subset_sizes": [1]}, ["--sizes", "2,3"], {"sizes": [2, 3]}),
+    "empty-sizes": ({"subset_sizes": [1]}, ["--sizes", ""], {"sizes": [1]}),
+    "ks": ({"ks": [1]}, ["--ks", "2"], {"ks": [2]}),
+    "budget": ({"sampling_budget": 7}, ["--budget", "3"], {"sampling_budget": 3}),
+    "seed": ({"seed": 3}, ["--seed", "0"], {"seed": 0}),
+    "normalize": ({"normalize": "orient"}, ["--normalize", "none"], {"normalize": "none"}),
+}
+
+
+@pytest.mark.parametrize("option", list(PRECEDENCE))
+def test_flag_overrides_config(option, tmp_path, capsys):
+    entries, flags, resolved = PRECEDENCE[option]
+    other = tmp_path / "other"
+    other.write_text("model,t1\na,1\n")
+    doc = json.loads(json.dumps({"matrix": MATRIX, **entries}).replace("{other}", str(other)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "audit", "--config", str(cfg), *flags, "--format", "json")
+    assert code == 0
+    shown = _provenance(stdout)
+    assert {key: shown[key] for key in resolved} == resolved
+
+
+def test_flag_overrides_config_format_out_and_zero_budget(tmp_path, capsys):
+    matrix = tmp_path / "scores.json"  # CSV under a JSON name
+    matrix.write_text(Path(MATRIX).read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": str(matrix), "matrix_format": "json",
+                               "out": str(tmp_path / "cfg-out"), "sampling_budget": 7}))
+    code, _, _ = run(capsys, "aggregate", "--config", str(cfg))
+    assert code == 2  # the config's format reads the CSV as JSON
+    code, _, _ = run(capsys, "aggregate", "--config", str(cfg), "--matrix-format", "csv",
+                     "--out", str(tmp_path / "flag-out"))
+    assert code == 0
+    assert (tmp_path / "flag-out" / "ranking.json").is_file()
+    assert not (tmp_path / "cfg-out").exists()
+    # --budget 0 is given, so it overrides the config's 7 and fails its check
+    code, _, err = run(capsys, "audit", "--config", str(cfg), "--matrix-format", "csv",
+                       "--budget", "0")
+    assert code == 2 and "sampling budget must be >= 1, got 0" in err
+
+
+SIX_BY_FIVE = "model,a,b,c,d,e\nm0,2,2,2,1,2\nm1,2,0,1,1,0\nm2,1,2,1,0,2\n" \
+              "m3,0,1,1,2,0\nm4,2,1,0,2,2\nm5,2,1,2,2,1\n"
+GROUPS = {"text": "g1", "retrieval": "g1", "listops": "g1", "image": "g1", "pathfinder": "g2"}
+
+
+# Two runs of one command that differ in one option: (command, common argv,
+# first run's extra argv or config, second run's).
+PROVENANCE_CASES = {
+    "report-budget": ("report", ["--matrix", "{six}", "--sizes", "2", "--ks", "1"],
+                      ["--budget", "3"], ["--budget", "4"]),
+    "aggregate-topk": ("aggregate", ["--matrix", MATRIX], ["--topk", "1"], ["--topk", "2"]),
+    "corr-bin-width": ("corr", ["--matrix", MATRIX, "--method", "robust_average_rank"],
+                       ["--bin-width", "1"], ["--bin-width", "20"]),
+    "audit-weights": ("audit", ["--matrix", MATRIX, "--ks", "1,3"],
+                      {}, {"aggregation": {"weights": {"listops": 100.0}}}),
+    "aggregate-groups": ("aggregate", ["--matrix", MATRIX],
+                         {"aggregation": {"method": "macro_average", "groups": GROUPS}},
+                         {"aggregation": {"method": "macro_average",
+                                          "groups": {**GROUPS, "retrieval": "g2"}}}),
+}
+
+
+@pytest.mark.parametrize("case", list(PROVENANCE_CASES))
+def test_output_changing_option_changes_provenance(case, tmp_path, capsys):
+    command, argv, *variants = PROVENANCE_CASES[case]
+    six = tmp_path / "six.csv"
+    six.write_text(SIX_BY_FIVE)
+    argv = [str(six) if arg == "{six}" else arg for arg in argv]
+    runs = []
+    for i, extra in enumerate(variants):
+        if isinstance(extra, dict):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(extra))
+            extra = ["--config", str(cfg)]
+        outputs = []
+        for fmt in ("json", "csv"):
+            code, stdout, _ = run(capsys, command, *argv, *extra, "--format", fmt)
+            assert code == 0
+            outputs.append(stdout)
+        doc = json.loads(outputs[0])
+        options = doc.pop("provenance")["options"]
+        runs.append(((doc, outputs[1]), options))
+    (first_body, first_options), (second_body, second_options) = runs
+    assert first_body != second_body
+    assert first_options != second_options

@@ -9,6 +9,7 @@ from rankaudit.errors import ConfigError, SchemaError
 from rankaudit.reuse import (
     LADDER,
     NAIVE,
+    HoldoutServer,
     boosting_attack,
     new_holdout,
     query,
@@ -77,6 +78,25 @@ def test_construction_validation():
     with pytest.raises(ConfigError, match="ladder step must be positive and finite"):
         new_holdout(10, LADDER, step=math.inf)
     assert new_holdout(16, LADDER).step == pytest.approx(0.25)  # default 1/sqrt(n)
+
+
+@pytest.mark.parametrize("mechanism", [NAIVE, LADDER])
+def test_direct_construction_matches_new_holdout(mechanism):
+    direct = HoldoutServer(n=64, mechanism=mechanism, seed=9)
+    made = new_holdout(64, mechanism, seed=9)
+    assert direct.step == made.step
+    assert np.array_equal(direct.labels_copy(), made.labels_copy())
+    queries = np.random.default_rng(2).integers(0, 2, size=(20, 64), dtype=np.uint8)
+    assert query_batch(direct, queries).tolist() == query_batch(made, queries).tolist()
+    assert boosting_attack(direct, 30, seed=4) == boosting_attack(made, 30, seed=4)
+    assert direct.query_count == made.query_count == 50
+
+
+@pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": 4, "mechanism": "bogus"},
+                                    {"n": 4, "mechanism": LADDER, "step": -1.0}])
+def test_direct_construction_validates(kwargs):
+    with pytest.raises(ConfigError):
+        HoldoutServer(**kwargs)
 
 
 # -- querying ------------------------------------------------------------------

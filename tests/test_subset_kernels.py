@@ -297,6 +297,31 @@ def test_codes_decode_to_the_oracle_topks(method, data):
                       for tk in expected.values()]
 
 
+def permuted(m, model_order, task_order):
+    """m with its model rows and task columns reordered, each keeping its id."""
+    return ScoreMatrix(tuple(m.model_ids[i] for i in model_order),
+                       tuple(m.task_ids[j] for j in task_order),
+                       tuple(tuple(m.scores[i][j] for j in task_order) for i in model_order),
+                       m.metrics)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(data=st.data())
+def test_audit_ignores_model_and_task_order(method, data):
+    m, spec, size, k_max = data.draw(tied_cases(method))
+    p = permuted(m, data.draw(st.permutations(range(m.n_models))),
+                 data.draw(st.permutations(range(m.n_tasks))))
+    audits = [unique_topk_audit(x, spec, size, k_max) for x in (m, p)]
+    for k in range(1, k_max + 1):
+        a, b = (audit.for_k(k) for audit in audits)
+        assert a.exact and b.exact
+        assert ((a.subset_size, a.k, a.unique_count, a.total_combinations)
+                == (b.subset_size, b.k, b.unique_count, b.total_combinations))
+        # a subset's task tuple follows the column order, so compare by task set
+        assert ({frozenset(s): tk for s, tk in a.per_subset_topk.items()}
+                == {frozenset(s): tk for s, tk in b.per_subset_topk.items()})
+
+
 def test_for_k_on_chunks_that_mix_kernel_and_scalar_rows(monkeypatch, scalar_calls):
     # m0 and m1 differ only on t1, so they tie in every subset without t1.
     # Such a subset takes the scalar path when the tie falls within the places
