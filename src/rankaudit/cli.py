@@ -35,7 +35,7 @@ from .rankstats import (
     unique_topk_audit,
 )
 from .report import Report, provenance_block, render_json, render_text, write_csv
-from .reuse import LADDER, NAIVE, boosting_attack, new_holdout
+from .reuse import LADDER, NAIVE, boosting_attack, new_holdout, reuse_bound
 from .scorebank import ScoreMatrix, human_normalize, load_matrix, load_metrics, orient
 from .significance import (
     B_GREATER,
@@ -134,7 +134,8 @@ def _add_common(parser: argparse.ArgumentParser, matrix: bool = True) -> None:
         parser.add_argument("--normalize", choices=list(_NORMALIZE), default=None,
                             help="preprocessing applied before aggregation")
         parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--seed", type=int, default=None, help="root seed")
+    # a matrix command's seed defaults in AuditConfig, so a config file can set it
+    parser.add_argument("--seed", type=int, default=None if matrix else 0, help="root seed")
     parser.add_argument("--out", help="directory for output files")
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text",
                         help="stdout rendering")
@@ -174,12 +175,31 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
 
 
+def _report(title: str, seed: int, inputs: Mapping[str, bytes] | None,
+            options: Mapping[str, Any]) -> Report:
+    """The empty Report of one command, stamped with its provenance.
+
+    The options hold every resolved option that can change the command's
+    output; the seed and the input hashes sit beside them.
+    """
+    return Report(title, provenance_block(__version__, seed, inputs, options))
+
+
+# Parsed arguments of compare and simulate-reuse that are not provenance options:
+# the seed and the replicates hash sit beside the options, and where and how the
+# output is written does not change it.
+_NOT_OPTIONS = ("command", "func", "seed", "out", "format", "replicates")
+
+
+def _arg_options(args: argparse.Namespace, **parsed: Any) -> dict[str, Any]:
+    """Every parsed argument that is an option, with `parsed` values in place of flag text."""
+    return {key: v for key, v in vars(args).items() if key not in _NOT_OPTIONS} | parsed
+
+
 def _prepare(args: argparse.Namespace, title: str) -> tuple[AuditConfig, ScoreMatrix, Report]:
     """Config, preprocessed matrix and provenance-stamped Report of a matrix command.
 
-    Subset sizes default to every size from 1 to the task count.  The
-    provenance options hold every resolved option that can change the
-    command's output; the seed and the input hashes sit beside them.
+    Subset sizes default to every size from 1 to the task count.
     """
     cfg = _build_config(args)
     if not cfg.matrix_path:
@@ -203,7 +223,7 @@ def _prepare(args: argparse.Namespace, title: str) -> tuple[AuditConfig, ScoreMa
         options.update(sizes=cfg.subset_sizes, ks=cfg.ks, sampling_budget=cfg.sampling_budget)
     if "subset" in args:  # aggregate
         options.update(subset=args.subset.split(",") if args.subset else "all", topk=args.topk)
-    return cfg, m, Report(title, provenance_block(__version__, cfg.seed, inputs, options))
+    return cfg, m, _report(title, cfg.seed, inputs, options)
 
 
 def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text: str,
@@ -372,7 +392,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     alpha = args.alpha
     if not (0 < alpha < 1):
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    seed = args.seed if args.seed is not None else 0
     alternative = args.alternative
 
     labels = list(reps_a)
@@ -385,51 +404,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
         wilcoxon = wilcoxon_signed_rank(
             PairedSamples(tuple(labels), tuple(means_a), tuple(means_b)), alternative
         )
-        wilcoxon_degenerate = None
+        signed_rank = {"statistic_w_plus": wilcoxon.statistic, "p_value": wilcoxon.p_value,
+                       "exact": wilcoxon.exact, "zeros_dropped": wilcoxon.zeros_dropped}
     except DegenerateInputError as exc:
         # identical per-dataset means carry no average-difference signal;
         # report that rather than aborting the whole comparison
-        wilcoxon = None
-        wilcoxon_degenerate = str(exc)
-    dataset_tests = per_dataset_tests(reps_a, reps_b, alternative, seed=seed)
+        wilcoxon, signed_rank = None, {"degenerate": str(exc)}
+    dataset_tests = per_dataset_tests(reps_a, reps_b, alternative, seed=args.seed)
     rejected = holm_correction([t.p_value for t in dataset_tests], alpha, args.correction)
-    p_le = prob_a_le_b(means_a, means_b, bootstrap_n=args.bootstrap_n, seed=seed)
+    p_le = prob_a_le_b(means_a, means_b, bootstrap_n=args.bootstrap_n, seed=args.seed)
 
-    better_avg = wilcoxon is not None and wilcoxon.p_value < alpha
-    better_all = all(rejected)
-    options = {
-        "alpha": alpha,
-        "alternative": alternative,
-        "correction": args.correction,
-        "bootstrap_n": args.bootstrap_n,
-    }
-    report = Report(
-        title="Model comparison (A vs B)",
-        provenance=provenance_block(__version__, seed, {args.replicates: raw}, options),
-    )
-    if wilcoxon is None:
-        report.add_kv(
-            "Cross-dataset signed-rank test (better on average)",
-            {"degenerate": wilcoxon_degenerate,
-             "verdict": "no significant average difference"},
-        )
+    report = _report("Model comparison (A vs B)", args.seed, {args.replicates: raw},
+                     _arg_options(args))
+    if wilcoxon is None or wilcoxon.p_value >= alpha:
+        verdict = "no significant average difference"
+    elif alternative == B_GREATER:
+        verdict = "B significantly better on average"
     else:
-        if not better_avg:
-            verdict = "no significant average difference"
-        elif alternative == B_GREATER:
-            verdict = "B significantly better on average"
-        else:
-            verdict = "significant average difference"
-        report.add_kv(
-            "Cross-dataset signed-rank test (better on average)",
-            {
-                "statistic_w_plus": wilcoxon.statistic,
-                "p_value": wilcoxon.p_value,
-                "exact": wilcoxon.exact,
-                "zeros_dropped": wilcoxon.zeros_dropped,
-                "verdict": verdict,
-            },
-        )
+        verdict = "significant average difference"
+    report.add_kv("Cross-dataset signed-rank test (better on average)",
+                  {**signed_rank, "verdict": verdict})
     dataset_rows = [[t.label, t.statistic, t.p_value, t.exact, flag]
                     for t, flag in zip(dataset_tests, rejected)]
     report.add_table(
@@ -442,11 +436,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         {
             "rejected_count": sum(rejected),
             "dataset_count": len(rejected),
-            "verdict": "B significantly better on every dataset" if better_all
+            "verdict": "B significantly better on every dataset" if all(rejected)
                        else "not significantly better on every dataset",
         },
     )
-    report.add_kv("Bootstrap P(A <= B)", {"estimate": p_le, "seed": seed})
+    bootstrap = {"estimate": p_le, "seed": args.seed}
+    report.add_kv("Bootstrap P(A <= B)", bootstrap)
 
     tests = {
         "wilcoxon": None if wilcoxon is None else wilcoxon.to_dict(),
@@ -454,7 +449,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             {**t.to_dict(), "rejected": flag}
             for t, flag in zip(dataset_tests, rejected)
         ],
-        "prob_a_le_b": {"estimate": p_le, "seed": seed},
+        "prob_a_le_b": bootstrap,
     }
     csv_text = _csv_text(["dataset", "mean_diff", "p_value", "exact", "rejected"], dataset_rows)
     _emit(report, args.format, args.out, "compare", csv_text, extra={"tests": tests})
@@ -468,7 +463,6 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
     if not schedule or any(i < 1 for i in schedule):
         raise ConfigError("--i-schedule needs positive query counts")
     mechanisms = [NAIVE, LADDER] if args.mechanism == "both" else [args.mechanism]
-    seed = args.seed if args.seed is not None else 0
 
     rows = []
     summary: dict[tuple[str, int], list[tuple[float, float]]] = {}
@@ -476,9 +470,10 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
         for i in schedule:
             for trial in range(args.trials):
                 server = new_holdout(args.n, mechanism,
-                                     seed=derive_seed(seed, "server", trial, i),
+                                     seed=derive_seed(args.seed, "server", trial, i),
                                      step=args.step if mechanism == LADDER else None)
-                outcome = boosting_attack(server, i, seed=derive_seed(seed, "attack", trial, i))
+                outcome = boosting_attack(server, i,
+                                          seed=derive_seed(args.seed, "attack", trial, i))
                 rows.append([trial, i, mechanism,
                              outcome.reported_accuracy, outcome.true_accuracy,
                              outcome.bound_value])
@@ -486,24 +481,14 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
                     (outcome.reported_accuracy, outcome.true_accuracy)
                 )
 
-    options = {
-        "n": args.n,
-        "i_schedule": schedule,
-        "mechanism": args.mechanism,
-        "trials": args.trials,
-        "step": args.step,
-    }
-    report = Report(
-        title="Adaptive holdout-reuse simulation",
-        provenance=provenance_block(__version__, seed, None, options),
-    )
+    report = _report("Adaptive holdout-reuse simulation", args.seed, None,
+                     _arg_options(args, i_schedule=schedule))
     summary_rows = []
     for (mechanism, i), pairs in sorted(summary.items()):
         mean_rep = sum(p[0] for p in pairs) / len(pairs)
         mean_true = sum(p[1] for p in pairs) / len(pairs)
         summary_rows.append(
-            [mechanism, i, mean_rep, mean_true, mean_rep - mean_true,
-             (i / args.n) ** 0.5]
+            [mechanism, i, mean_rep, mean_true, mean_rep - mean_true, reuse_bound(args.n, i)]
         )
     report.add_table(
         "Mean reported vs. fresh-label accuracy",

@@ -38,15 +38,17 @@ class HoldoutServer:
     Single-writer: queries against one server must be serialized.  A
     `query_batch` of len(P) rows is len(P) queries, applied in row order.
     Independent servers (distinct seeds) are safe to run concurrently.
+    query_count and best_reported are query state, not arguments; the
+    labels follow from the seed, so equality does not compare them.
     """
 
     n: int
     mechanism: str = NAIVE
     seed: int = 0
     step: float | None = None
-    query_count: int = 0
-    best_reported: float = 0.0
-    _labels: np.ndarray = field(init=False, repr=False)
+    query_count: int = field(default=0, init=False)
+    best_reported: float = field(default=0.0, init=False)
+    _labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -348,16 +348,10 @@ def _load_json(data: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatr
 
 
 def _metric_to_dict(spec: MetricSpec) -> dict:
-    out: dict = {"direction": spec.direction}
-    if spec.group is not None:
-        out["group"] = spec.group
-    if spec.weight != 1.0:
-        out["weight"] = spec.weight
-    if spec.random_baseline is not None:
-        out["random_baseline"] = spec.random_baseline
-    if spec.human_reference is not None:
-        out["human_reference"] = spec.human_reference
-    return out
+    """direction, then every other field that differs from its default."""
+    changed = {f.name: getattr(spec, f.name) for f in fields(spec)
+               if getattr(spec, f.name) != f.default}
+    return {"direction": spec.direction, **changed}
 
 
 def save_matrix(m: ScoreMatrix, format: str = "csv") -> str:

@@ -13,7 +13,7 @@ Monte-Carlo path is seeded and reports its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, islice
 from typing import Mapping, Sequence
 
@@ -70,19 +70,8 @@ class TestResult:
             raise ConfigError(f"p-value {self.p_value} outside (0, 1]")
 
     def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "alternative": self.alternative,
-            "exact": self.exact,
-            "zeros_dropped": self.zeros_dropped,
-        }
-        if self.label is not None:
-            out["label"] = self.label
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        """Every field; label and seed, the two that may be None, only when set."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def _check_alternative(alternative: str) -> None:
@@ -193,14 +182,15 @@ def permutation_test(
     if len(a) < 2 or len(b) < 2:
         raise ConfigError("permutation test needs at least 2 replicates per side")
     where = "permutation test" if label is None else f"permutation test {label!r}"
-    for side, values in (("a", a), ("b", b)):
-        checked_fsum(values, f"{where}, side {side}")
+    sum_a, sum_b = (checked_fsum(values, f"{where}, side {side}")
+                    for side, values in (("a", a), ("b", b)))
     for sign, values in (("positive", [x for x in a + b if x > 0]),
                          ("negative", [x for x in a + b if x < 0])):
         checked_fsum(values, f"{where}, pooled {sign} values")
     pooled = np.array(a + b, dtype=float)
     na, nb = len(a), len(b)
-    observed = float(np.mean(b) - np.mean(a))
+    # fsum is correctly rounded, so the replicate order cannot move it
+    observed = sum_b / nb - sum_a / na
     eps = 1e-12 * max(1.0, abs(observed), float(np.max(np.abs(pooled))) or 1.0)
     total = math.comb(na + nb, na)
 

@@ -335,6 +335,36 @@ def test_corr_mean_vs_median_divergence(tmp_path, capsys):
     assert mean_vs_median < 1.0
 
 
+LRA_GROUPS = {"text": "nlp", "retrieval": "nlp", "listops": "logic", "image": "vision",
+              "pathfinder": "vision"}
+
+
+@pytest.mark.parametrize("source", ["sidecar", "config"])
+def test_corr_per_group_taus(source, tmp_path, capsys):
+    path = tmp_path / f"{source}.json"
+    if source == "sidecar":
+        path.write_text(json.dumps({"tasks": {t: {"group": g} for t, g in LRA_GROUPS.items()}}))
+        argv = ["--metrics", str(path)]
+    else:
+        path.write_text(json.dumps({"aggregation": {"groups": LRA_GROUPS}}))
+        argv = ["--metrics", METRICS, "--config", str(path)]
+    out = tmp_path / "corr"
+    code, stdout, _ = run(capsys, "corr", "--matrix", MATRIX, *argv, "--out", str(out),
+                          "--format", "json")
+    assert code == 0
+    table = next(s for s in json.loads(stdout)["sections"]
+                 if s["title"] == "Per-group tau-b vs. all-task ranking")["table"]
+    assert [row[0] for row in table["rows"]] == [
+        "nlp (text+retrieval)", "logic (listops)", "vision (image+pathfinder)"]
+    with open(out / "corr.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    groups = [row for row in rows if row[0] == "group"]
+    assert [row[1] for row in groups] == ["text+retrieval", "listops", "image+pathfinder"]
+    assert [float(row[2]) for row in groups] == [row[1] for row in table["rows"]]
+    # a one-task group is that task's tau
+    assert ["task", "listops", groups[1][2]] in rows
+
+
 # -- aggregate -----------------------------------------------------------------
 
 
@@ -384,6 +414,15 @@ def test_compare_dominated_eight_datasets(replicates_file, capsys):
         assert {"method", "statistic", "p_value", "exact", "label", "rejected"} <= entry.keys()
 
 
+def test_compare_two_sided_verdict(replicates_file, capsys):
+    code, stdout, _ = run(capsys, "compare", "--replicates", replicates_file,
+                          "--alternative", "two-sided", "--format", "json")
+    assert code == 0
+    wilcoxon = next(s for s in json.loads(stdout)["sections"] if "signed-rank" in s["title"])
+    assert wilcoxon["values"]["p_value"] == pytest.approx(2.0 / 256.0)
+    assert wilcoxon["values"]["verdict"] == "significant average difference"
+
+
 def test_compare_identical_replicates(tmp_path, capsys):
     doc = {"datasets": {f"d{i}": {"A": [0.5, 0.5], "B": [0.5, 0.5]} for i in range(3)}}
     path = tmp_path / "same.json"
@@ -403,8 +442,7 @@ def test_compare_json_ignores_replicate_order(tmp_path, capsys):
     # d0's A and B hold the same eight values, so its mean difference is 0.
     # Summed left to right, A's mean exceeds B's by one ulp, but only in
     # the written order; reversed, the sums agree and Wilcoxon drops d0.
-    # Numpy's pairwise sum of eight values (the permutation test's observed
-    # difference) does not depend on the order.
+    # The permutation test's mean difference is taken from fsum side sums too.
     rng = np.random.default_rng(61)
     datasets = {"d0": {"A": [0.73, 0.02, 0.49, 0.57, 0.38, 0.22, 0.98, 0.06],
                        "B": [0.22, 0.38, 0.57, 0.98, 0.02, 0.73, 0.49, 0.06]}}
@@ -422,6 +460,23 @@ def test_compare_json_ignores_replicate_order(tmp_path, capsys):
         del out["provenance"]  # it hashes the input bytes
         outputs.append(out)
     assert outputs[0]["tests"]["wilcoxon"]["zeros_dropped"] == 1
+    assert outputs[0] == outputs[1]
+
+    # Nine values per side, each list rotated by one place: numpy's mean of
+    # nine values follows their order, a mean difference from fsum does not.
+    rng = np.random.default_rng(2)
+    datasets = {f"d{i}": {side: (rng.integers(1, 100, size=9) / 100).tolist()
+                          for side in ("A", "B")} for i in range(3)}
+    outputs = []
+    for doc in (datasets, {d: {side: reps[1:] + reps[:1] for side, reps in entry.items()}
+                           for d, entry in datasets.items()}):
+        path.write_text(json.dumps({"datasets": doc}))
+        code, stdout, _ = run(capsys, "compare", "--replicates", str(path), "--format", "json")
+        assert code == 0
+        out = json.loads(stdout)
+        del out["provenance"]
+        outputs.append(out)
+    assert all(t["exact"] for t in outputs[0]["tests"]["per_dataset"])
     assert outputs[0] == outputs[1]
 
 
@@ -474,6 +529,19 @@ def test_simulate_reuse_bound_annotation(capsys):
     assert code == 0
     row = stdout.strip().splitlines()[1].split(",")
     assert float(row[5]) == pytest.approx(1.0)
+
+
+def test_simulate_reuse_table_and_csv_bounds_agree(tmp_path, capsys):
+    # (i / n) ** 0.5 and math.sqrt(i / n) differ in the last digit here
+    out = tmp_path / "sim"
+    code, _, _ = run(capsys, "simulate-reuse", "--n", "100", "--i-schedule", "926",
+                     "--trials", "1", "--out", str(out))
+    assert code == 0
+    table = next(s for s in json.loads((out / "reuse.json").read_text())["sections"]
+                 if "Mean reported" in s["title"])["table"]
+    with open(out / "reuse_trials.csv", newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert table["rows"][0][5] == float(row["bound"])
 
 
 def test_simulate_reuse_ladder_gap_below_naive(capsys):
@@ -668,11 +736,19 @@ SIDECAR = ["aggregate", "--matrix", MATRIX, "--metrics", "{file}"]
     ("{}", ["audit", "--matrix", MATRIX, "--sizes", "1,1", "--ks", "1"],
      "'subset_sizes' lists 1 more than once"),
     ("{}", ["report", "--matrix", MATRIX, "--ks", "3,1,3"], "'ks' lists 3 more than once"),
+    ('{"datasets": {}}', ["compare", "--replicates", "{file}"], "contains no datasets"),
+    ('{"datasets": {"d7": {"A": [0.5, 0.6], "B": [0.5, 0.7]}}}',
+     ["compare", "--replicates", "{file}", "--alpha", "1.5"], "alpha must be in (0, 1)"),
+    ("{}", ["simulate-reuse", "--n", "10", "--i-schedule", "5", "--trials", "0"],
+     "trials must be >= 1"),
+    ("{}", ["simulate-reuse", "--n", "10", "--i-schedule", "0"],
+     "--i-schedule needs positive query counts"),
 ], ids=["sidecar-weight-true", "sidecar-weight-string", "sidecar-weight-1e400",
         "sidecar-group-list", "sidecar-baseline-span", "matrix-inline-metrics",
         "matrix-model-ids", "matrix-cell-string", "replicate-string", "replicate-true",
         "config-bin-width-1e400", "flag-bin-width-inf", "flag-sizes-repeated",
-        "flag-ks-repeated-report"])
+        "flag-ks-repeated-report", "replicates-no-datasets", "flag-alpha-1.5",
+        "flag-trials-0", "flag-i-schedule-0"])
 def test_exit_code_2_for_malformed_json_value(text, argv, key, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(text)

@@ -92,6 +92,13 @@ def test_direct_construction_matches_new_holdout(mechanism):
     assert direct.query_count == made.query_count == 50
 
 
+def test_servers_compare_by_their_arguments():
+    assert HoldoutServer(n=4) == HoldoutServer(n=4) == new_holdout(4)
+    assert HoldoutServer(n=4, seed=1) != HoldoutServer(n=4)
+    with pytest.raises(TypeError):
+        HoldoutServer(n=4, query_count=7)
+
+
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": 4, "mechanism": "bogus"},
                                     {"n": 4, "mechanism": LADDER, "step": -1.0}])
 def test_direct_construction_validates(kwargs):

@@ -175,6 +175,18 @@ def test_json_round_trip(m):
     assert again == m
 
 
+def test_metric_fields_survive_json_round_trips():
+    spec = MetricSpec(LOWER, group="g", weight=2.5, random_baseline=0.5, human_reference=0.9)
+    m = ScoreMatrix(("a", "b"), ("t1", "t2"), ((1.0, 2.0), (3.0, None)),
+                    {"t1": spec, "t2": MetricSpec()})
+    assert json.loads(save_metrics(m)) == {"tasks": {
+        "t1": {"direction": "lower", "group": "g", "weight": 2.5, "random_baseline": 0.5,
+               "human_reference": 0.9},
+        "t2": {"direction": "higher"}}}
+    assert load_metrics(save_metrics(m)) == m.metrics
+    assert load_matrix(save_matrix(m, "json"), "json") == m
+
+
 # -- orient -----------------------------------------------------------------
 
 

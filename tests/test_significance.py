@@ -206,6 +206,18 @@ def test_wilcoxon_normal_approximation_near_exact():
     assert approx.p_value == pytest.approx(exact.p_value, abs=0.02)
 
 
+def test_wilcoxon_normal_approximation_two_sided():
+    rng = np.random.default_rng(33)
+    diffs = rng.normal(0.3, 1.0, size=25).tolist()
+    greater = wilcoxon_signed_rank(paired(diffs), B_GREATER)
+    both = wilcoxon_signed_rank(paired(diffs), TWO_SIDED)
+    assert not both.exact and both.statistic > 25 * 26 / 4  # W+ above its null mean
+    assert both.p_value == min(1.0, 2.0 * greater.p_value)
+    assert wilcoxon_signed_rank(paired([-d for d in diffs]), TWO_SIDED).p_value == both.p_value
+    exact = wilcoxon_signed_rank(paired(diffs), TWO_SIDED, exact_limit=25)
+    assert both.p_value == pytest.approx(exact.p_value, abs=0.02)
+
+
 def test_wilcoxon_agrees_with_scipy_no_ties():
     scipy_stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(34)
@@ -242,6 +254,19 @@ def test_permutation_separated_groups_exact_p():
     res = permutation_test([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], B_GREATER)
     assert res.exact
     assert res.p_value == pytest.approx(1.0 / comb(6, 3))
+
+
+def test_permutation_result_to_dict_has_label_and_seed_only_when_set():
+    common = {"method": "permutation-mean-diff", "statistic": 3.0, "alternative": B_GREATER,
+              "zeros_dropped": 0}
+    exact = permutation_test([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], B_GREATER, label="d1")
+    assert exact.to_dict() == {**common, "p_value": exact.p_value, "exact": True, "label": "d1"}
+    mc = permutation_test([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], B_GREATER, exact_limit=1,
+                          mc_samples=100, seed=7, label="d1")
+    assert mc.to_dict() == {**common, "p_value": mc.p_value, "exact": False, "label": "d1",
+                            "seed": 7}
+    unlabelled = permutation_test([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], B_GREATER)
+    assert unlabelled.to_dict() == {**common, "p_value": exact.p_value, "exact": True}
 
 
 def test_permutation_needs_two_replicates():
