@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -519,6 +520,17 @@ def test_simulate_reuse_deterministic_csv(tmp_path, capsys):
     header = out1.splitlines()[0]
     assert header == "trial,i,mechanism,reported,true,bound"
     assert len(out1.splitlines()) == 1 + 2 * 2 * 2
+
+
+def test_simulate_reuse_trials_csv_is_pinned(tmp_path, capsys):
+    # n = 101 is not a multiple of 8; the digest pins the seeded attack
+    # stream, the majority vote and the ladder reports byte for byte
+    out = tmp_path / "sim"
+    code, _, _ = run(capsys, "simulate-reuse", "--n", "101", "--i-schedule", "10,37",
+                     "--mechanism", "both", "--trials", "3", "--seed", "5", "--out", str(out))
+    assert code == 0
+    digest = hashlib.sha256((out / "reuse_trials.csv").read_bytes()).hexdigest()
+    assert digest == "06e9bcced4dd31e0956b6a417b9002770e757bda9b1b6383bff13b692bcd703a"
 
 
 def test_simulate_reuse_bound_annotation(capsys):
