@@ -79,27 +79,43 @@ def query(server: HoldoutServer, predictions) -> float:
     """Submit one prediction vector and get the mechanism's report: a one-row `query_batch`."""
     arr = np.asarray(predictions)
     if arr.shape != (server.n,):
-        raise SchemaError(f"prediction vector has length {arr.size}, expected {server.n}")
+        raise SchemaError(f"prediction vector has shape {arr.shape}, expected ({server.n},)")
     return float(query_batch(server, arr[np.newaxis])[0])
 
 
 def query_batch(server: HoldoutServer, predictions) -> np.ndarray:
-    """Submit each row of a 2-D array as one query, in row order; one report per row.
+    """Submit each row of a 2-D 0/1 array as one query, in row order; one report per row.
 
     Naive: the exact empirical accuracy.  Ladder: if the accuracy clears
     best_reported + step, best_reported moves to the accuracy rounded to
     the nearest step multiple (halfway rounds up) and is reported;
-    otherwise the previous best_reported is repeated.
+    otherwise the previous best_reported is repeated.  A value other than
+    0 or 1 is a SchemaError naming its row, and no query is counted.
     """
     arr = np.asarray(predictions)
     if arr.ndim != 2 or arr.shape[1] != server.n:
         raise SchemaError(f"prediction batch has shape {arr.shape}, expected (rows, {server.n})")
-    accuracies = (arr == server._labels).mean(axis=1)
-    server.query_count += len(arr)
+    bad = np.argwhere((arr != 0) & (arr != 1))
+    if len(bad):
+        row, col = bad[0]
+        raise SchemaError(f"prediction row {row} holds {arr.item(row, col)!r} at position {col}, "
+                          "expected 0 or 1")
+    return _reports(server, np.packbits(arr == 1, axis=1))
+
+
+def _reports(server: HoldoutServer, packed: np.ndarray) -> np.ndarray:
+    """`query_batch` on rows packed by `np.packbits(rows, axis=1)`.
+
+    Padding bits are 0 on both sides, so (n - popcount(rows ^ labels)) / n
+    is the row mean of `rows == labels`, bit for bit.
+    """
+    disagreements = np.bitwise_count(packed ^ np.packbits(server._labels)).sum(axis=1)
+    accuracies = (server.n - disagreements) / server.n
+    server.query_count += len(packed)
     if server.mechanism == NAIVE:
         return accuracies
     best, step = server.best_reported, server.step
-    reports = np.empty(len(arr))
+    reports = np.empty(len(packed))
     for row, accuracy in enumerate(accuracies.tolist()):
         if accuracy >= best + step:
             # the 1e-9 nudge makes halfway cases round up despite float noise
@@ -132,15 +148,22 @@ class AttackReport:
 
 
 def _random_predictions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    return rng.integers(0, 2, size=(count, n), dtype=np.uint8)
+    """`rng.integers(0, 2, (count, n), dtype=np.uint8)`, packed by `np.packbits(axis=1)`.
+
+    For a range of 2, `integers` keeps the top bit of each byte of the raw
+    64-bit stream, read little-endian, so the same bits are thresholded here.
+    """
+    raw = rng.bit_generator.random_raw(-(-count * n // 8)).astype("<u8", copy=False)
+    raw = raw.view(np.uint8)[: count * n]
+    return np.packbits(np.greater_equal(raw, 128, out=raw.view(bool)).reshape(count, n), axis=1)
 
 
 def boosting_attack(server: HoldoutServer, i: int, seed: int = 0) -> AttackReport:
     """Run the boosting attack with i queries against the server.
 
-    Submits i independent uniform-random prediction vectors in one
-    `query_batch`, collects those whose *reported* accuracy exceeds 1/2,
-    and majority-votes the collected vectors coordinate-wise (seeded coin
+    Submits i independent uniform-random prediction vectors as one packed
+    batch, collects those whose *reported* accuracy exceeds 1/2, and
+    majority-votes the collected vectors coordinate-wise (seeded coin
     for even splits; a fresh random vector if nothing was collected).  The
     final predictor is evaluated directly against the hidden labels and
     against a fresh label draw, so the server's query counter increases by
@@ -150,13 +173,13 @@ def boosting_attack(server: HoldoutServer, i: int, seed: int = 0) -> AttackRepor
         raise ConfigError(f"query budget must be >= 1, got {i}")
     rng = np.random.default_rng(derive_seed(seed, "attack-predictions"))
     candidates = _random_predictions(rng, i, server.n)
-    collected = candidates[query_batch(server, candidates) > 0.5]
+    collected = candidates[_reports(server, candidates) > 0.5]
 
     aux = np.random.default_rng(derive_seed(seed, "attack-aux"))
     if len(collected):
-        votes = np.mean(collected, axis=0)
-        final = (votes > 0.5).astype(np.uint8)
-        even = votes == 0.5
+        twice_votes = 2 * np.unpackbits(collected, axis=1, count=server.n).sum(axis=0)
+        final = (twice_votes > len(collected)).astype(np.uint8)
+        even = twice_votes == len(collected)
         if np.any(even):
             final[even] = aux.integers(0, 2, size=int(even.sum()), dtype=np.uint8)
     else:

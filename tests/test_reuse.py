@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rankaudit.reuse as reuse
 from rankaudit.errors import ConfigError, SchemaError
@@ -33,7 +35,7 @@ def scalar_query(server, vec):
 def attack_oracle(server, i, seed):
     """boosting_attack's reports and collected count, one query per candidate."""
     rng = np.random.default_rng(derive_seed(seed, "attack-predictions"))
-    candidates = reuse._random_predictions(rng, i, server.n)
+    candidates = rng.integers(0, 2, size=(i, server.n), dtype=np.uint8)
     collected = [vec for vec in candidates if scalar_query(server, vec) > 0.5]
     aux = np.random.default_rng(derive_seed(seed, "attack-aux"))
     if collected:
@@ -121,6 +123,10 @@ def test_query_length_mismatch():
     server = new_holdout(5, NAIVE)
     with pytest.raises(SchemaError):
         query(server, np.zeros(4, dtype=np.uint8))
+    # a (1, n) vector has n cells, so only its shape tells it apart
+    with pytest.raises(SchemaError, match=re.escape("shape (1, 5), expected (5,)")):
+        query(server, np.zeros((1, 5), dtype=np.uint8))
+    assert server.query_count == 0
 
 
 def test_ladder_withholds_sub_step_improvement():
@@ -191,7 +197,53 @@ def test_query_batch_rejects_other_shapes(shape):
     assert server.query_count == 0
 
 
+@pytest.mark.parametrize("value", [2, 0.5, -1, math.nan])
+def test_query_batch_rejects_values_other_than_0_and_1(value):
+    # packed, such a value would count as a hit without a word
+    server = new_holdout(10, NAIVE)
+    batch = np.zeros((3, 10))
+    batch[1, 4] = value
+    with pytest.raises(SchemaError, match=f"row 1 holds {float(value)!r} at position 4"):
+        query_batch(server, batch)
+    with pytest.raises(SchemaError, match="row 0 holds"):
+        query(server, batch[1])
+    assert server.query_count == 0
+
+
+@given(st.data())
+def test_query_batch_matches_scalar_query(data):
+    # all-correct, all-wrong and (for even n) exactly-half rows sit on the
+    # ladder's boundaries; n up to 70 leaves 0 to 7 padding bits
+    n = data.draw(st.integers(1, 70), label="n")
+    mechanism = data.draw(st.sampled_from([NAIVE, LADDER]), label="mechanism")
+    step = data.draw(st.sampled_from([None, 0.5, 0.25, 0.1])) if mechanism == LADDER else None
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    batched, scalar = (new_holdout(n, mechanism, seed=seed, step=step) for _ in range(2))
+    labels = batched.labels_copy()
+    half = labels.copy()
+    half[: n // 2] ^= 1
+    drawn = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                               max_size=8), label="rows")
+    rows = data.draw(st.permutations([labels, 1 - labels, half, *map(np.array, drawn)]))
+    dtype = data.draw(st.sampled_from([np.uint8, np.int64, np.float64, bool]), label="dtype")
+    rows = np.array(rows).astype(dtype)
+    cut = data.draw(st.integers(0, len(rows)), label="cut")
+    reports = [*query_batch(batched, rows[:cut]), *query_batch(batched, rows[cut:])]
+    assert reports == [scalar_query(scalar, v) for v in rows]
+    assert batched.query_count == scalar.query_count == len(rows)
+    assert batched.best_reported == scalar.best_reported
+
+
 # -- boosting attack --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 997])
+@pytest.mark.parametrize("count", [1, 3, 8, 13])
+def test_packed_draw_is_the_integers_draw_packed(count, n):
+    packed = reuse._random_predictions(np.random.default_rng(count + n), count, n)
+    expected = np.random.default_rng(count + n).integers(0, 2, size=(count, n), dtype=np.uint8)
+    assert np.array_equal(np.unpackbits(packed, axis=1, count=n), expected)
+    assert np.array_equal(packed, np.packbits(expected, axis=1))  # padding bits are 0
 
 
 def test_attack_counts_exactly_i_queries():
@@ -245,7 +297,7 @@ def test_mechanism_changes_reports_not_truth(monkeypatch):
     # them and the fresh-label evaluation must coincide exactly
     def all_correct(rng, count, n):
         server_labels = new_holdout(n, NAIVE, seed=77).labels_copy()
-        return np.tile(server_labels, (count, 1))
+        return np.packbits(np.tile(server_labels, (count, 1)), axis=1)
 
     monkeypatch.setattr(reuse, "_random_predictions", all_correct)
     naive_server = new_holdout(50, NAIVE, seed=77)
@@ -261,7 +313,7 @@ def test_attack_empty_collection_falls_back_to_random_vector(monkeypatch):
     # complementing every candidate keeps reported accuracy below 1/2
     def all_wrong(rng, count, n):
         labels = new_holdout(n, NAIVE, seed=88).labels_copy()
-        return np.tile(1 - labels, (count, 1))
+        return np.packbits(np.tile(1 - labels, (count, 1)), axis=1)
 
     monkeypatch.setattr(reuse, "_random_predictions", all_wrong)
     server = new_holdout(50, NAIVE, seed=88)
