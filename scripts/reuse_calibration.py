@@ -9,10 +9,10 @@ The reuse acceptance test freezes three numbers at n=1000, i=3000 over
   * ladder (step 0.02) mean reported-true gap must be at most half of
     the naive gap
 
-This script re-runs the simulation on a grid of query budgets and prints
-the observed means with binomial-scale standard errors, so the margins
-behind those frozen constants can be re-checked whenever the attack or
-the mechanisms change.
+This script runs the seeded grid of `rankaudit simulate-reuse --mechanism
+both` (same n, trials, step and seed, same means) and prints the observed
+means with binomial-scale standard errors, so the margins behind those
+frozen constants can be re-checked whenever the attack or the mechanisms change.
 
 Run:
     python scripts/reuse_calibration.py --n 1000 --trials 100
@@ -27,31 +27,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rankaudit.reuse import LADDER, NAIVE, boosting_attack, new_holdout
-from rankaudit.util import derive_seed
+from rankaudit.reuse import LADDER, NAIVE, simulate
 
 
 def run_grid(n: int, trials: int, schedule: list[int], step: float, seed: int) -> None:
     print(f"n={n}, trials={trials}, ladder step={step}, root seed={seed}")
     print(f"{'mech':8} {'i':>6} {'reported':>10} {'true':>10} {'gap':>10} "
           f"{'se':>8} {'sqrt(i/n)':>10}")
+    grid = simulate(n, schedule, [NAIVE, LADDER], trials, seed, step)
     gaps: dict[tuple[str, int], float] = {}
     for i in schedule:
         for mechanism in (NAIVE, LADDER):
-            reported, true = [], []
-            for trial in range(trials):
-                server = new_holdout(
-                    n, mechanism,
-                    seed=derive_seed(seed, "calib-server", trial, i),
-                    step=step if mechanism == LADDER else None,
-                )
-                out = boosting_attack(
-                    server, i, seed=derive_seed(seed, "calib-attack", trial, i)
-                )
-                reported.append(out.reported_accuracy)
-                true.append(out.true_accuracy)
-            mean_rep = sum(reported) / trials
-            mean_true = sum(true) / trials
+            outcomes = [grid[mechanism, i, trial] for trial in range(trials)]
+            mean_rep = sum(o.reported_accuracy for o in outcomes) / trials
+            mean_true = sum(o.true_accuracy for o in outcomes) / trials
             gap = mean_rep - mean_true
             gaps[(mechanism, i)] = gap
             se = 0.5 / math.sqrt(n * trials)

@@ -19,6 +19,7 @@ import argparse
 import io
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -35,7 +36,7 @@ from .rankstats import (
     unique_topk_audit,
 )
 from .report import Report, provenance_block, render_json, render_text, write_csv
-from .reuse import LADDER, NAIVE, boosting_attack, new_holdout, reuse_bound
+from .reuse import LADDER, NAIVE, reuse_bound, simulate
 from .scorebank import ScoreMatrix, human_normalize, load_matrix, load_metrics, orient
 from .significance import (
     B_GREATER,
@@ -49,7 +50,6 @@ from .significance import (
 from .util import (
     array,
     checked_fsum,
-    derive_seed,
     integer,
     number,
     parse_json,
@@ -90,10 +90,17 @@ class AuditConfig:
         if self.normalize not in _NORMALIZE:
             raise ConfigError(f"normalize must be one of {list(_NORMALIZE)}, "
                               f"got {self.normalize!r}")
-        for key, values in (("subset_sizes", self.subset_sizes), ("ks", self.ks)):
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise ConfigError(f"{key!r} lists {repeated[0]} more than once")
+        if not self.ks:
+            raise ConfigError("'ks' needs at least one k")
+        _distinct(self.subset_sizes, "subset_sizes")
+        _distinct(self.ks, "ks")
+
+
+def _distinct(values: Sequence[int], name: str) -> None:
+    """A ConfigError naming the first value that `values` lists twice."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{name!r} lists {repeated[0]} more than once")
 
 
 # JSON key -> field name, where the two differ.
@@ -273,7 +280,7 @@ def _audit_curve(m: ScoreMatrix, cfg: AuditConfig,
     """
     audits = [unique_topk_audit(m, cfg.aggregation, size, max(cfg.ks),
                                 sampling_budget=cfg.sampling_budget, seed=cfg.seed)
-              for size in cfg.subset_sizes] if cfg.ks else []
+              for size in cfg.subset_sizes]
     by_size = [[audit.for_k(k) for k in cfg.ks] for audit in audits]
     results = [r for same_size in by_size for r in same_size]
     rows = [[r.subset_size, r.k, r.unique_count, r.total_combinations] for r in results]
@@ -462,31 +469,19 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
     schedule = _int_list(args.i_schedule, "--i-schedule")
     if not schedule or any(i < 1 for i in schedule):
         raise ConfigError("--i-schedule needs positive query counts")
+    _distinct(schedule, "--i-schedule")
     mechanisms = [NAIVE, LADDER] if args.mechanism == "both" else [args.mechanism]
-
-    rows = []
-    summary: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    for mechanism in mechanisms:
-        for i in schedule:
-            for trial in range(args.trials):
-                server = new_holdout(args.n, mechanism,
-                                     seed=derive_seed(args.seed, "server", trial, i),
-                                     step=args.step if mechanism == LADDER else None)
-                outcome = boosting_attack(server, i,
-                                          seed=derive_seed(args.seed, "attack", trial, i))
-                rows.append([trial, i, mechanism,
-                             outcome.reported_accuracy, outcome.true_accuracy,
-                             outcome.bound_value])
-                summary.setdefault((mechanism, i), []).append(
-                    (outcome.reported_accuracy, outcome.true_accuracy)
-                )
+    grid = simulate(args.n, schedule, mechanisms, args.trials, args.seed, args.step)
+    rows = [[trial, i, mechanism, outcome.reported_accuracy, outcome.true_accuracy,
+             outcome.bound_value] for (mechanism, i, trial), outcome in grid.items()]
 
     report = _report("Adaptive holdout-reuse simulation", args.seed, None,
                      _arg_options(args, i_schedule=schedule))
     summary_rows = []
-    for (mechanism, i), pairs in sorted(summary.items()):
-        mean_rep = sum(p[0] for p in pairs) / len(pairs)
-        mean_true = sum(p[1] for p in pairs) / len(pairs)
+    for mechanism, i in sorted(product(mechanisms, schedule)):
+        outcomes = [grid[mechanism, i, trial] for trial in range(args.trials)]
+        mean_rep = sum(o.reported_accuracy for o in outcomes) / args.trials
+        mean_true = sum(o.true_accuracy for o in outcomes) / args.trials
         summary_rows.append(
             [mechanism, i, mean_rep, mean_true, mean_rep - mean_true, reuse_bound(args.n, i)]
         )

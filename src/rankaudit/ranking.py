@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, SchemaError, UndefinedCorrelationError
 
@@ -149,8 +150,8 @@ def kendall_tau_b(a: Ranking, b: Ranking) -> float:
     rb = [b.entries[m] for m in models]
     n = len(models)
     n0 = n * (n - 1) // 2
-    n1 = _tie_term(ra)
-    n2 = _tie_term(rb)
+    n1 = _tied_pairs(ra)
+    n2 = _tied_pairs(rb)
     if n0 == n1 or n0 == n2:
         raise UndefinedCorrelationError("tau-b undefined: one side is entirely tied")
     order = sorted(range(n), key=lambda i: (ra[i], rb[i]))
@@ -158,24 +159,15 @@ def kendall_tau_b(a: Ranking, b: Ranking) -> float:
     # contribute no strict b-inversions, and pairs tied in b never invert;
     # every remaining strict inversion is exactly one discordant pair.
     nd = _count_strict_inversions([rb[i] for i in order])
-    n3 = _joint_tie_term(ra, rb)
+    n3 = _tied_pairs(zip(ra, rb))
     nc = n0 - n1 - n2 + n3 - nd
     # sqrt of an exact integer product, correctly rounded: |tau| <= 1, tau(a, a) == 1.0.
     return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
 
 
-def _tie_term(ranks: Sequence[float]) -> int:
-    counts: dict[float, int] = {}
-    for r in ranks:
-        counts[r] = counts.get(r, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
-
-
-def _joint_tie_term(ra: Sequence[float], rb: Sequence[float]) -> int:
-    counts: dict[tuple[float, float], int] = {}
-    for pair in zip(ra, rb):
-        counts[pair] = counts.get(pair, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+def _tied_pairs(keys: Iterable[Hashable]) -> int:
+    """Pairs of equal keys: c(c-1)/2 summed over each key's count c."""
+    return sum(c * (c - 1) // 2 for c in Counter(keys).values())
 
 
 def _count_strict_inversions(seq: list[float]) -> int:

@@ -10,13 +10,15 @@ rounded improvements over the best score so far.
 predictors, keep those reported above chance, and majority-vote them.
 Against a naive server the reported accuracy of the voted predictor grows
 on the sqrt(i/n) scale while its accuracy on fresh labels stays at chance;
-the ladder flattens the reported gain.
+the ladder flattens the reported gain.  `simulate` runs it over a seeded
+(mechanism, i, trial) grid, where the mechanisms of one (trial, i) share one draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -169,35 +171,60 @@ def boosting_attack(server: HoldoutServer, i: int, seed: int = 0) -> AttackRepor
     against a fresh label draw, so the server's query counter increases by
     exactly i.
     """
+    return _attacks([server], i, seed)[0]
+
+
+def _attacks(servers: list[HoldoutServer], i: int, seed: int) -> list[AttackReport]:
+    """`boosting_attack(server, i, seed)` for each server, all of one size n.
+
+    The candidates and fresh labels are drawn once; each vote seeds its own `attack-aux` stream.
+    """
     if i < 1:
         raise ConfigError(f"query budget must be >= 1, got {i}")
+    n = servers[0].n
     rng = np.random.default_rng(derive_seed(seed, "attack-predictions"))
-    candidates = _random_predictions(rng, i, server.n)
-    collected = candidates[_reports(server, candidates) > 0.5]
-
-    aux = np.random.default_rng(derive_seed(seed, "attack-aux"))
-    if len(collected):
-        twice_votes = 2 * np.unpackbits(collected, axis=1, count=server.n).sum(axis=0)
-        final = (twice_votes > len(collected)).astype(np.uint8)
-        even = twice_votes == len(collected)
-        if np.any(even):
-            final[even] = aux.integers(0, 2, size=int(even.sum()), dtype=np.uint8)
-    else:
-        final = aux.integers(0, 2, size=server.n, dtype=np.uint8)
-
-    reported = float(np.mean(final == server._labels))
+    candidates = _random_predictions(rng, i, n)
     fresh = np.random.default_rng(derive_seed(seed, "fresh-labels")).integers(
-        0, 2, size=server.n, dtype=np.uint8
+        0, 2, size=n, dtype=np.uint8
     )
-    true = float(np.mean(final == fresh))
-    return AttackReport(
-        i=i,
-        mechanism=server.mechanism,
-        reported_accuracy=reported,
-        true_accuracy=true,
-        bound_value=reuse_bound(server.n, i),
-        collected=len(collected),
-    )
+    outcomes = []
+    for server in servers:
+        collected = candidates[_reports(server, candidates) > 0.5]
+        aux = np.random.default_rng(derive_seed(seed, "attack-aux"))
+        if len(collected):
+            twice_votes = 2 * np.unpackbits(collected, axis=1, count=n).sum(axis=0)
+            final = (twice_votes > len(collected)).astype(np.uint8)
+            even = twice_votes == len(collected)
+            if np.any(even):
+                final[even] = aux.integers(0, 2, size=int(even.sum()), dtype=np.uint8)
+        else:
+            final = aux.integers(0, 2, size=n, dtype=np.uint8)
+        outcomes.append(AttackReport(i, server.mechanism,
+                                     reported_accuracy=float(np.mean(final == server._labels)),
+                                     true_accuracy=float(np.mean(final == fresh)),
+                                     bound_value=reuse_bound(n, i), collected=len(collected)))
+    return outcomes
+
+
+def simulate(n: int, schedule: list[int], mechanisms: list[str], trials: int, seed: int = 0,
+             step: float | None = None) -> dict[tuple[str, int, int], AttackReport]:
+    """The seeded reuse grid: one AttackReport per (mechanism, i, trial), in that key order.
+
+    Trial t at budget i attacks a fresh server per mechanism, seeded
+    `derive_seed(seed, "server", t, i)`, with the attack seed
+    `derive_seed(seed, "attack", t, i)`; only the ladder gets `step`.  The
+    mechanisms of one (t, i) share one candidate draw.  The budgets in
+    `schedule` must be distinct.
+    """
+    grid = {}
+    for i in schedule:
+        for trial in range(trials):
+            servers = [new_holdout(n, mechanism, derive_seed(seed, "server", trial, i),
+                                   step if mechanism == LADDER else None)
+                       for mechanism in mechanisms]
+            for outcome in _attacks(servers, i, derive_seed(seed, "attack", trial, i)):
+                grid[outcome.mechanism, i, trial] = outcome
+    return {key: grid[key] for key in product(mechanisms, schedule, range(trials))}
 
 
 def reuse_bound(n: int, i: int) -> float:

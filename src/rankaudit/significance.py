@@ -179,9 +179,9 @@ def permutation_test(
     _check_alternative(alternative)
     a = [float(x) for x in a]
     b = [float(x) for x in b]
-    if len(a) < 2 or len(b) < 2:
-        raise ConfigError("permutation test needs at least 2 replicates per side")
     where = "permutation test" if label is None else f"permutation test {label!r}"
+    if len(a) < 2 or len(b) < 2:
+        raise ConfigError(f"{where} needs at least 2 replicates per side")
     sum_a, sum_b = (checked_fsum(values, f"{where}, side {side}")
                     for side, values in (("a", a), ("b", b)))
     for sign, values in (("positive", [x for x in a + b if x > 0]),
@@ -240,16 +240,8 @@ def per_dataset_tests(
     """
     if set(replicates_a) != set(replicates_b):
         raise ConfigError("replicate maps cover different dataset sets")
-    results = []
-    for dataset in replicates_a:
-        a, b = replicates_a[dataset], replicates_b[dataset]
-        if len(a) < 2 or len(b) < 2:
-            raise ConfigError(f"dataset {dataset!r} has fewer than 2 replicates per model")
-        results.append(
-            permutation_test(a, b, alternative, exact_limit, mc_samples,
-                             seed=seed, label=dataset)
-        )
-    return results
+    return [permutation_test(replicates_a[d], replicates_b[d], alternative, exact_limit,
+                             mc_samples, seed=seed, label=d) for d in replicates_a]
 
 
 def holm_correction(

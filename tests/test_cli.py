@@ -755,12 +755,20 @@ SIDECAR = ["aggregate", "--matrix", MATRIX, "--metrics", "{file}"]
      "trials must be >= 1"),
     ("{}", ["simulate-reuse", "--n", "10", "--i-schedule", "0"],
      "--i-schedule needs positive query counts"),
+    ("{}", ["simulate-reuse", "--n", "10", "--i-schedule", "10,10"],
+     "'--i-schedule' lists 10 more than once"),
+    ("{}", ["report", "--matrix", MATRIX, "--ks", ","], "'ks' needs at least one k"),
+    ('{"ks": []}', ["audit", "--matrix", MATRIX, "--config", "{file}"],
+     "'ks' needs at least one k"),
+    ('{"datasets": {"d7": {"A": [0.5], "B": [0.5, 0.6]}}}',
+     ["compare", "--replicates", "{file}"], "'d7'"),
 ], ids=["sidecar-weight-true", "sidecar-weight-string", "sidecar-weight-1e400",
         "sidecar-group-list", "sidecar-baseline-span", "matrix-inline-metrics",
         "matrix-model-ids", "matrix-cell-string", "replicate-string", "replicate-true",
         "config-bin-width-1e400", "flag-bin-width-inf", "flag-sizes-repeated",
         "flag-ks-repeated-report", "replicates-no-datasets", "flag-alpha-1.5",
-        "flag-trials-0", "flag-i-schedule-0"])
+        "flag-trials-0", "flag-i-schedule-0", "flag-i-schedule-repeated", "flag-ks-empty",
+        "config-ks-empty", "replicates-one-replicate"])
 def test_exit_code_2_for_malformed_json_value(text, argv, key, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(text)

@@ -340,6 +340,63 @@ def test_attack_validation():
         boosting_attack(new_holdout(10), 0)
 
 
+# -- seeded grid -----------------------------------------------------------------------
+
+
+def cli_rule_attacks(n, schedule, mechanisms, trials, seed, step):
+    """Independent boosting_attack calls on fresh servers under the CLI seeding rule."""
+    out = {}
+    for mechanism in mechanisms:
+        for i in schedule:
+            for trial in range(trials):
+                server = new_holdout(n, mechanism, seed=derive_seed(seed, "server", trial, i),
+                                     step=step if mechanism == LADDER else None)
+                out[mechanism, i, trial] = boosting_attack(
+                    server, i, seed=derive_seed(seed, "attack", trial, i))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 101])
+@pytest.mark.parametrize("mechanisms", [[NAIVE], [LADDER], [NAIVE, LADDER]])
+@pytest.mark.parametrize("step", [None, 0.05])
+def test_grid_equals_independent_attacks(n, mechanisms, step):
+    schedule, trials, seed = [3, 40, 1], 3, 9
+    grid = reuse.simulate(n, schedule, mechanisms, trials, seed, step)
+    # same reports in the same order: mechanism, then schedule, then trial
+    assert list(grid.items()) == list(
+        cli_rule_attacks(n, schedule, mechanisms, trials, seed, step).items())
+
+
+def test_grid_draws_candidates_once_per_trial_and_budget(monkeypatch):
+    draws = []
+    draw = reuse._random_predictions
+
+    def counted(rng, count, n):
+        draws.append(count)
+        return draw(rng, count, n)
+
+    monkeypatch.setattr(reuse, "_random_predictions", counted)
+    schedule, trials = [5, 20, 80], 4
+    reuse.simulate(50, schedule, [NAIVE, LADDER], trials, seed=2)
+    assert len(draws) == len(schedule) * trials
+
+
+def test_grid_servers_count_exactly_i_queries(monkeypatch):
+    servers = []
+    make = reuse.new_holdout
+
+    def recorded(*args, **kwargs):
+        servers.append(make(*args, **kwargs))
+        return servers[-1]
+
+    monkeypatch.setattr(reuse, "new_holdout", recorded)
+    schedule, trials, seed = [4, 17], 2, 3
+    grid = reuse.simulate(30, schedule, [NAIVE, LADDER], trials, seed)
+    budget = {derive_seed(seed, "server", t, i): i for i in schedule for t in range(trials)}
+    assert len(servers) == len(grid) == 2 * len(schedule) * trials
+    assert all(server.query_count == budget[server.seed] for server in servers)
+
+
 # -- bound ---------------------------------------------------------------------------
 
 
