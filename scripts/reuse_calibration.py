@@ -27,14 +27,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from rankaudit.errors import InputError
 from rankaudit.reuse import LADDER, NAIVE, simulate
 
 
 def run_grid(n: int, trials: int, schedule: list[int], step: float, seed: int) -> None:
+    grid = simulate(n, schedule, [NAIVE, LADDER], trials, seed, step)
     print(f"n={n}, trials={trials}, ladder step={step}, root seed={seed}")
     print(f"{'mech':8} {'i':>6} {'reported':>10} {'true':>10} {'gap':>10} "
           f"{'se':>8} {'sqrt(i/n)':>10}")
-    grid = simulate(n, schedule, [NAIVE, LADDER], trials, seed, step)
     gaps: dict[tuple[str, int], float] = {}
     for i in schedule:
         for mechanism in (NAIVE, LADDER):
@@ -60,12 +61,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--schedule", default="100,400,1600,3000")
+    parser.add_argument("--schedule", default="100,400,1600,3000",
+                        type=lambda text: [int(x) for x in text.split(",")])
     parser.add_argument("--step", type=float, default=0.02)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    schedule = [int(x) for x in args.schedule.split(",")]
-    run_grid(args.n, args.trials, schedule, args.step, args.seed)
+    try:
+        run_grid(args.n, args.trials, args.schedule, args.step, args.seed)
+    except InputError as exc:
+        print(f"reuse_calibration: input error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

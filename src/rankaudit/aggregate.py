@@ -6,10 +6,11 @@ binned into fixed-width buckets before ranking), and elimination ranking
 (an exhaustive-ballot vote where tasks repeatedly vote for their top
 remaining model and the fewest-votes models are knocked out).
 
-The value-based schemes expect an oriented (higher-is-better) matrix; the
-`aggregate` dispatcher orients automatically and returns a Ranking.  Float
-sums use `math.fsum`, which is correctly rounded and therefore independent
-of task order, so an exact tie never depends on how tasks were listed.
+Every scheme reads its subset's cells through `scorebank.oriented_cells`,
+lower-is-better columns negated, so a mixed-direction matrix needs no
+orienting first; `aggregate` dispatches and returns a Ranking.  Float sums
+use `math.fsum`, which is correctly rounded and therefore independent of
+task order, so an exact tie never depends on how tasks were listed.
 
 `BATCHED` maps the schemes that have one to a batched subset kernel: it
 scores many task subsets of one matrix in a few numpy operations, for the
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .ranking import Ranking, fractional_ranks, rank_models
-from .scorebank import HIGHER, ScoreMatrix, orient
+from .scorebank import ScoreMatrix, oriented_cells
 from .util import checked_fsum, positive
 
 @dataclass(frozen=True)
@@ -65,15 +66,8 @@ class AggregateResult:
         object.__setattr__(self, "per_model", dict(self.per_model))
 
 
-def _oriented(m: ScoreMatrix) -> ScoreMatrix:
-    """m with every task higher-is-better: the package's one orientation rule."""
-    if any(spec.direction != HIGHER for spec in m.metrics.values()):
-        return orient(m)
-    return m
-
-
-def _oriented_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ...]:
-    """The prologue of every scheme: the checked subset, all higher-is-better."""
+def _checked_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ...]:
+    """The prologue of every scheme: the subset, checked before any cell is read."""
     tasks = tuple(m.task_ids if subset is None else subset)
     if not tasks:
         raise ConfigError("task subset is empty")
@@ -81,11 +75,6 @@ def _oriented_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, 
         raise ConfigError("task subset contains duplicates")
     for t in tasks:
         m.task_index(t)
-    for t in tasks:
-        if m.metrics[t].direction != HIGHER:
-            raise ConfigError(
-                f"task {t!r} is lower-is-better; orient() the matrix before aggregating"
-            )
     return tasks
 
 
@@ -111,9 +100,9 @@ def arithmetic_mean(
     weights: Mapping[str, float] | None = None,
 ) -> AggregateResult:
     """Per-model weighted mean over the subset."""
-    tasks = _oriented_tasks(m, subset)
+    tasks = _checked_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
-    means = _weighted_means(m, m.to_array(tasks).tolist(), w)
+    means = _weighted_means(m, oriented_cells(m, tasks).tolist(), w)
     return AggregateResult(dict(zip(m.model_ids, means)), higher_is_better=True)
 
 
@@ -123,9 +112,9 @@ def geometric_mean(
     weights: Mapping[str, float] | None = None,
 ) -> AggregateResult:
     """exp of the weighted mean of logs; every selected score must be > 0."""
-    tasks = _oriented_tasks(m, subset)
+    tasks = _checked_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
-    arr = m.to_array(tasks)
+    arr = oriented_cells(m, tasks)
     bad = np.argwhere(arr <= 0)
     if len(bad):
         i, j = bad[0]
@@ -142,10 +131,10 @@ def median_score(m: ScoreMatrix, subset: Sequence[str] | None = None) -> Aggrega
     A mean of two central values beyond the float range is a DomainError:
     in one infinite median, models would tie.
     """
-    tasks = _oriented_tasks(m, subset)
+    tasks = _checked_tasks(m, subset)
     n = len(tasks)
     values = {}
-    for mid, row in zip(m.model_ids, m.to_array(tasks).tolist()):
+    for mid, row in zip(m.model_ids, oriented_cells(m, tasks).tolist()):
         s = sorted(row)
         values[mid] = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2.0
         if not math.isfinite(values[mid]):
@@ -170,7 +159,7 @@ def macro_average(
     Groups come from `task_group`; a selected task without a group is an
     error.
     """
-    tasks = _oriented_tasks(m, subset)
+    tasks = _checked_tasks(m, subset)
     groups: dict[str, list[int]] = {}
     for j, t in enumerate(tasks):
         g = task_group(m, t, group_map)
@@ -178,7 +167,7 @@ def macro_average(
             raise ConfigError(f"task {t!r} has no group; macro-average needs a total group map")
         groups.setdefault(g, []).append(j)
     w = _resolve_weights(m, tasks, weights)
-    arr = m.to_array(tasks)
+    arr = oriented_cells(m, tasks)
     group_means = [_weighted_means(m, arr[:, cols].tolist(), [w[j] for j in cols])
                    for cols in groups.values()]
     values = {mid: checked_fsum(means, f"model {mid!r}") / len(group_means)
@@ -188,7 +177,7 @@ def macro_average(
 
 def average_rank(m: ScoreMatrix, subset: Sequence[str] | None = None) -> AggregateResult:
     """Rank models per task (1 = best, ties share the average rank), then mean."""
-    return _mean_rank(m, m.to_array(_oriented_tasks(m, subset)))
+    return _mean_rank(m, oriented_cells(m, _checked_tasks(m, subset)))
 
 
 def _mean_rank(m: ScoreMatrix, arr: np.ndarray) -> AggregateResult:
@@ -212,8 +201,8 @@ def robust_average_rank(
     to sub-bucket score noise.  Buckets are anchored at zero.
     """
     positive(bin_width, "bin_width")
-    tasks = _oriented_tasks(m, subset)
-    return _mean_rank(m, _bins(m.to_array(tasks), bin_width, m.model_ids, tasks))
+    tasks = _checked_tasks(m, subset)
+    return _mean_rank(m, _bins(oriented_cells(m, tasks), bin_width, m.model_ids, tasks))
 
 
 def _bins(x: np.ndarray, bin_width: float,
@@ -245,8 +234,8 @@ def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> 
     the remaining models tie.  Votes are exact rationals, so outcomes do
     not depend on summation order.
     """
-    tasks = _oriented_tasks(m, subset)
-    arr = m.to_array(tasks)
+    tasks = _checked_tasks(m, subset)
+    arr = oriented_cells(m, tasks)
     score = {
         mid: {t: arr[i, j] for j, t in enumerate(tasks)}
         for i, mid in enumerate(m.model_ids)
@@ -279,8 +268,8 @@ def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> 
     return Ranking({mid: rank[mid] for mid in m.model_ids})
 
 
-# The scalar schemes: method name -> scheme on an oriented matrix, a task
-# subset (None for all tasks) and the spec.  METHODS lists its keys in this order.
+# The scalar schemes: method name -> scheme on a matrix of any directions, a
+# task subset (None for all tasks) and the spec.  METHODS lists its keys in this order.
 SCHEMES: dict[str, Callable[[ScoreMatrix, Sequence[str] | None, AggregationSpec],
                             AggregateResult | Ranking]] = {
     "arithmetic_mean": lambda m, tasks, spec: arithmetic_mean(m, tasks, spec.weights),
@@ -303,12 +292,11 @@ def aggregate(
 ) -> Ranking:
     """Dispatch to the configured scheme and return a Ranking.
 
-    The matrix is oriented first if any task is lower-is-better;
-    rank-valued aggregates are converted with lower-is-better semantics so
-    rank 1 is best everywhere.
+    Rank-valued aggregates are converted with lower-is-better semantics
+    so rank 1 is best everywhere.
     """
     spec = spec or AggregationSpec()
-    result = SCHEMES[spec.method](_oriented(m), subset, spec)
+    result = SCHEMES[spec.method](m, subset, spec)
     if isinstance(result, Ranking):
         return result
     return rank_models(result.per_model, result.higher_is_better)

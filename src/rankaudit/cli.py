@@ -50,6 +50,7 @@ from .significance import (
 from .util import (
     array,
     checked_fsum,
+    distinct,
     integer,
     number,
     parse_json,
@@ -92,15 +93,8 @@ class AuditConfig:
                               f"got {self.normalize!r}")
         if not self.ks:
             raise ConfigError("'ks' needs at least one k")
-        _distinct(self.subset_sizes, "subset_sizes")
-        _distinct(self.ks, "ks")
-
-
-def _distinct(values: Sequence[int], name: str) -> None:
-    """A ConfigError naming the first value that `values` lists twice."""
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise ConfigError(f"{name!r} lists {repeated[0]} more than once")
+        distinct(self.subset_sizes, "subset_sizes")
+        distinct(self.ks, "ks")
 
 
 # JSON key -> field name, where the two differ.
@@ -464,12 +458,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_reuse(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     schedule = _int_list(args.i_schedule, "--i-schedule")
-    if not schedule or any(i < 1 for i in schedule):
-        raise ConfigError("--i-schedule needs positive query counts")
-    _distinct(schedule, "--i-schedule")
     mechanisms = [NAIVE, LADDER] if args.mechanism == "both" else [args.mechanism]
     grid = simulate(args.n, schedule, mechanisms, args.trials, args.seed, args.step)
     rows = [[trial, i, mechanism, outcome.reported_accuracy, outcome.true_accuracy,

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .aggregate import BATCHED, AggregationSpec, _oriented, aggregate
+from .aggregate import BATCHED, AggregationSpec, aggregate
 from .errors import ConfigError, UndefinedCorrelationError
 from .ranking import TopK, kendall_tau_b, top_k
 from .scorebank import ScoreMatrix, oriented_array
@@ -186,18 +186,17 @@ def _subset_codes(
 ) -> np.ndarray:
     """Top-k codes (see `_CodedTopK`) of the subsets, rows of task indices.
 
-    The matrix is oriented once and each chunk of subsets is scored in one
-    kernel call, where `spec` has a kernel.  A subset is settled by the
-    scalar `aggregate` instead, with minus its ranks as keys, when the
-    scheme has no kernel, when it touches a missing cell, where that call
-    raises the scalar path's MissingScoreError, when a kernel key is not
-    finite, where an overflow would tie models and the scalar path raises
-    its DomainError, or when a float kernel cannot certify the order of
-    its top min(k + 1, n) keys.  Each row's
-    models are sorted by key and equal keys form a tie group: certified
-    keys are strictly ordered, so this gives the scalar path's Top-k.
+    With a kernel for `spec`, the matrix is read once by `oriented_array`
+    and each chunk of subsets is scored in one kernel call.  A subset is
+    settled by the scalar `aggregate` instead, with minus its ranks as
+    keys, when the scheme has no kernel, when it touches a missing cell,
+    where that call raises the scalar path's MissingScoreError, when a
+    kernel key is not finite, where an overflow would tie models and the
+    scalar path raises its DomainError, or when a float kernel cannot
+    certify the order of its top min(k + 1, n) keys.  Each row's models
+    are sorted by key and equal keys form a tie group: certified keys are
+    strictly ordered, so this gives the scalar path's Top-k.
     """
-    m = _oriented(m)
     n = m.n_models
     factory = BATCHED.get(spec.method)
     if factory is not None:
@@ -282,7 +281,6 @@ def subset_tau_profile(
     A subset whose correlation is undefined (an entirely tied ranking)
     maps to None rather than aborting the profile.
     """
-    m = _oriented(m)
     full = aggregate(m, None, spec)
     out: dict[tuple[str, ...], float | None] = {}
     for subset in subsets:
@@ -301,7 +299,6 @@ def topk_table(
     k: int,
 ) -> list[tuple[tuple[str, ...], TopK]]:
     """Top-k per requested subset, in the order the subsets were given."""
-    m = _oriented(m)
     return [
         (tuple(subset), top_k(aggregate(m, tuple(subset), spec), k))
         for subset in subsets
@@ -316,7 +313,6 @@ def aggregator_agreement(
     """Symmetric tau-b matrix across the rankings of several schemes."""
     if len(specs) < 2:
         raise ConfigError("aggregator agreement needs at least two specs")
-    m = _oriented(m)
     rankings = [aggregate(m, subset, spec) for spec in specs]
     n = len(rankings)
     out = [[1.0] * n for _ in range(n)]

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .util import derive_seed, positive
+from .util import derive_seed, distinct, positive
 
 NAIVE = "naive"
 LADDER = "ladder"
@@ -213,9 +213,17 @@ def simulate(n: int, schedule: list[int], mechanisms: list[str], trials: int, se
     Trial t at budget i attacks a fresh server per mechanism, seeded
     `derive_seed(seed, "server", t, i)`, with the attack seed
     `derive_seed(seed, "attack", t, i)`; only the ladder gets `step`.  The
-    mechanisms of one (t, i) share one candidate draw.  The budgets in
-    `schedule` must be distinct.
+    mechanisms of one (t, i) share one candidate draw.  Checked before any
+    attack runs: trials >= 1, every budget >= 1 and listed once, and a
+    given step positive and finite, whatever the mechanisms.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not schedule or min(schedule) < 1:
+        raise ConfigError(f"query budgets must be >= 1, got {schedule}")
+    distinct(schedule, "schedule")
+    if step is not None:
+        positive(step, "ladder step")
     grid = {}
     for i in schedule:
         for trial in range(trials):

@@ -5,8 +5,8 @@ table of optional scores plus per-task metric metadata (direction, group,
 weight, baselines).  Matrices are immutable after construction and safe to
 share across threads.  Construction validates the cells and densifies them
 once, into a read-only float array and missing-cell mask; every later read
-(`to_array`, `oriented_array`, `missing_cells`, `orient`, `human_normalize`)
-works on that array and never walks the cells again.
+(`to_array`, `oriented_array`, `oriented_cells`, `missing_cells`, `orient`,
+`human_normalize`) works on that array and never walks the cells again.
 
 Missing scores are represented explicitly as None and are never imputed:
 any operation whose task subset touches a missing cell fails loudly,
@@ -189,15 +189,24 @@ def orient(m: ScoreMatrix) -> NormalizedMatrix:
     return _normalized(m, oriented_array(m)[0], metrics)
 
 
+def _higher_is_better(m: ScoreMatrix, tasks: Sequence[str], x: np.ndarray) -> np.ndarray:
+    """x, columns `tasks`, with lower-is-better columns negated: the one orientation rule."""
+    flip = np.array([m.metrics[t].direction == LOWER for t in tasks], dtype=bool)
+    return np.where(flip, -x, x)
+
+
 def oriented_array(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Dense higher-is-better float array of all cells, and its missing-cell mask.
 
-    Lower-is-better columns are negated as `orient` does.  Missing cells
-    hold 0.0 in the array and True in the mask; callers that read them
-    must check the mask first.  Both arrays are fresh copies.
+    Missing cells hold 0.0 in the array and True in the mask; callers that
+    read them must check the mask first.  Both arrays are fresh copies.
     """
-    flip = np.array([m.metrics[t].direction == LOWER for t in m.task_ids], dtype=bool)
-    return np.where(flip, -m._values, m._values), m._missing.copy()
+    return _higher_is_better(m, m.task_ids, m._values), m._missing.copy()
+
+
+def oriented_cells(m: ScoreMatrix, tasks: Sequence[str]) -> np.ndarray:
+    """`m.to_array(tasks)` read higher-is-better, with the same MissingScoreError."""
+    return _higher_is_better(m, tasks, m.to_array(tasks))
 
 
 def human_normalize(m: ScoreMatrix) -> NormalizedMatrix:

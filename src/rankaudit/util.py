@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from typing import Any, Callable, Collection, Iterable, Mapping
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, ParseError, SchemaError
 
@@ -60,6 +60,13 @@ def positive(value: float, name: str) -> float:
     if not 0 < value < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def distinct(values: Sequence[int], name: str) -> None:
+    """A ConfigError naming the first value that `values` lists twice."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{name!r} lists {repeated[0]} more than once")
 
 
 # -- JSON input ------------------------------------------------------------

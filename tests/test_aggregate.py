@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -25,7 +26,7 @@ from rankaudit.aggregate import (
 )
 from rankaudit.errors import ConfigError, DomainError, MissingScoreError
 from rankaudit.ranking import rank_models
-from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix, orient
+from rankaudit.scorebank import HIGHER, LOWER, MetricSpec, ScoreMatrix, orient
 
 
 def matrix(rows, model_ids=None, task_ids=None, metrics=None):
@@ -76,12 +77,6 @@ def test_mean_errors():
     with pytest.raises(MissingScoreError):
         arithmetic_mean(holey)
     assert arithmetic_mean(holey, ["t1"]).per_model == {"A": 1.0}
-
-
-def test_lower_better_guard():
-    m = matrix([[1.0]], metrics={"t1": MetricSpec(direction=LOWER)})
-    with pytest.raises(ConfigError, match="orient"):
-        arithmetic_mean(m)
 
 
 # -- geometric mean ---------------------------------------------------------
@@ -327,10 +322,12 @@ def test_dispatch_auto_orients_lower_better_tasks():
                                     elimination_ranking])
 def test_schemes_check_the_subset_before_its_directions(scheme):
     m = matrix([[1.0, 2.0], [3.0, 4.0]], metrics={"t1": MetricSpec(direction=LOWER)})
-    with pytest.raises(ConfigError, match="'t1' is lower-is-better"):
-        scheme(m, ["t2", "t1"])
     with pytest.raises(ConfigError, match="unknown task 't9'"):
         scheme(m, ["t1", "t9"])
+    with pytest.raises(ConfigError, match="duplicates"):
+        scheme(m, ["t1", "t2", "t1"])
+    with pytest.raises(ConfigError, match="empty"):
+        scheme(m, [])
 
 
 def test_spec_validation():
@@ -526,6 +523,57 @@ def test_aggregate_equals_aggregate_of_the_oriented_matrix(method, m, data):
     spec = spec_for(method, m)
     for tasks in (None, subset, higher_only):
         assert outcome(mixed, tasks, spec) == outcome(orient(mixed), tasks, spec)
+
+
+@st.composite
+def tied_mixed_cases(draw):
+    """A tied, mixed-direction matrix that may hold missing cells, a subset and options.
+
+    Repeated cells tie models; zeros, negatives and +-1e308 reach the
+    geometric mean's domain check and the overflow checks.  Half the
+    matrices get every oriented cell positive, so geometric means exist.
+    """
+    n_models = draw(st.integers(2, 5))
+    n_tasks = draw(st.integers(2, 5))
+    cell = st.one_of(st.sampled_from([None, 0.0, 0.1, 0.2, 0.3, 1.0, 3.0, -2.0, 1e308, -1e308]),
+                     st.floats(-100.0, 100.0))
+    rows = draw(st.lists(st.lists(cell, min_size=n_tasks, max_size=n_tasks),
+                         min_size=n_models, max_size=n_models))
+    task_ids = tuple(f"t{j}" for j in range(n_tasks))
+    metrics = {t: MetricSpec(direction=draw(st.sampled_from([HIGHER, LOWER])),
+                             weight=draw(st.sampled_from([0.5, 1.0, 3.0])))
+               for t in task_ids}
+    if draw(st.booleans()):
+        sign = [-1.0 if metrics[t].direction == LOWER else 1.0 for t in task_ids]
+        rows = [[c if c is None else s * (abs(c) or 1.0) for s, c in zip(sign, row)]
+                for row in rows]
+    m = ScoreMatrix(tuple(f"m{i}" for i in range(n_models)), task_ids,
+                    tuple(map(tuple, rows)), metrics)
+    subset = draw(st.one_of(st.none(), st.lists(st.sampled_from(task_ids), min_size=1,
+                                                unique=True)))
+    options = {"weights": draw(st.one_of(st.none(), st.dictionaries(
+                   st.sampled_from(task_ids), st.sampled_from([0.1, 2.0])))),
+               "group_map": {t: f"g{j % 2}" for j, t in enumerate(task_ids)},
+               "bin_width": draw(st.sampled_from([0.5, 1.0, 1e-300]))}
+    return m, subset, options
+
+
+@pytest.mark.parametrize("scheme", [arithmetic_mean, geometric_mean, median_score,
+                                    macro_average, average_rank, robust_average_rank,
+                                    elimination_ranking])
+@given(case=tied_mixed_cases())
+def test_schemes_read_lower_is_better_tasks_as_orient_does(scheme, case):
+    m, subset, options = case
+    params = inspect.signature(scheme).parameters
+    kwargs = {key: value for key, value in options.items() if key in params}
+
+    def result(matrix):
+        try:
+            return scheme(matrix, subset, **kwargs)
+        except (DomainError, MissingScoreError) as exc:
+            return type(exc), str(exc)
+
+    assert result(m) == result(orient(m))
 
 
 @given(m=scored_matrices(), data=st.data())

@@ -754,9 +754,11 @@ SIDECAR = ["aggregate", "--matrix", MATRIX, "--metrics", "{file}"]
     ("{}", ["simulate-reuse", "--n", "10", "--i-schedule", "5", "--trials", "0"],
      "trials must be >= 1"),
     ("{}", ["simulate-reuse", "--n", "10", "--i-schedule", "0"],
-     "--i-schedule needs positive query counts"),
+     "query budgets must be >= 1, got [0]"),
     ("{}", ["simulate-reuse", "--n", "10", "--i-schedule", "10,10"],
-     "'--i-schedule' lists 10 more than once"),
+     "'schedule' lists 10 more than once"),
+    ("{}", ["simulate-reuse", "--n", "10", "--i-schedule", "5", "--mechanism", "naive",
+            "--step", "-1"], "ladder step must be positive and finite, got -1.0"),
     ("{}", ["report", "--matrix", MATRIX, "--ks", ","], "'ks' needs at least one k"),
     ('{"ks": []}', ["audit", "--matrix", MATRIX, "--config", "{file}"],
      "'ks' needs at least one k"),
@@ -767,8 +769,9 @@ SIDECAR = ["aggregate", "--matrix", MATRIX, "--metrics", "{file}"]
         "matrix-model-ids", "matrix-cell-string", "replicate-string", "replicate-true",
         "config-bin-width-1e400", "flag-bin-width-inf", "flag-sizes-repeated",
         "flag-ks-repeated-report", "replicates-no-datasets", "flag-alpha-1.5",
-        "flag-trials-0", "flag-i-schedule-0", "flag-i-schedule-repeated", "flag-ks-empty",
-        "config-ks-empty", "replicates-one-replicate"])
+        "flag-trials-0", "flag-i-schedule-0", "flag-i-schedule-repeated",
+        "flag-step-naive-negative", "flag-ks-empty", "config-ks-empty",
+        "replicates-one-replicate"])
 def test_exit_code_2_for_malformed_json_value(text, argv, key, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(text)

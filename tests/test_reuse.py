@@ -1,5 +1,8 @@
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +398,41 @@ def test_grid_servers_count_exactly_i_queries(monkeypatch):
     budget = {derive_seed(seed, "server", t, i): i for i in schedule for t in range(trials)}
     assert len(servers) == len(grid) == 2 * len(schedule) * trials
     assert all(server.query_count == budget[server.seed] for server in servers)
+
+
+@pytest.mark.parametrize("mechanisms", [[NAIVE], [LADDER], [NAIVE, LADDER]])
+@pytest.mark.parametrize("schedule, trials, step, message", [
+    ([5], 0, None, "trials must be >= 1, got 0"),
+    ([], 1, None, r"query budgets must be >= 1, got \[\]"),
+    ([5, 0], 1, None, r"query budgets must be >= 1, got \[5, 0\]"),
+    ([5, 9, 5], 1, None, "'schedule' lists 5 more than once"),
+    ([5], 1, -1.0, "ladder step must be positive and finite, got -1.0"),
+    ([5], 1, math.inf, "ladder step must be positive and finite, got inf"),
+    ([5], 1, math.nan, "ladder step must be positive and finite, got nan"),
+])
+def test_grid_checks_its_inputs_before_any_attack(mechanisms, schedule, trials, step, message,
+                                                  monkeypatch):
+    attacks = []
+    monkeypatch.setattr(reuse, "_attacks", lambda *args: attacks.append(args))
+    with pytest.raises(ConfigError, match=message):
+        reuse.simulate(20, schedule, mechanisms, trials, step=step)
+    assert attacks == []
+
+
+CALIBRATION = Path(__file__).resolve().parent.parent / "scripts" / "reuse_calibration.py"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--trials", "0"], "trials must be >= 1, got 0"),
+    (["--schedule", "5,5"], "'schedule' lists 5 more than once"),
+    (["--schedule", "0"], "query budgets must be >= 1, got [0]"),
+])
+def test_calibration_script_exits_2_on_bad_input(flags, message):
+    run = subprocess.run([sys.executable, str(CALIBRATION), "--n", "20", "--trials", "1",
+                          "--schedule", "5", *flags], capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == f"reuse_calibration: input error: {message}\n"
 
 
 # -- bound ---------------------------------------------------------------------------

@@ -140,8 +140,9 @@ def test_schemes_without_a_kernel_call_aggregate_once_per_subset_in_order(method
         assert result.per_subset_topk == oracle(m, spec, subsets, 3)
 
 
-def test_scalar_audit_orients_once(monkeypatch):
-    # macro_average has no kernel, so every subset goes through `aggregate`.
+def test_audits_and_aggregate_never_orient(monkeypatch):
+    # Every scheme reads lower-is-better columns negated, so no oriented matrix is built:
+    # not by a kernel scheme, not by one settled subset by subset, not by the profiles.
     calls = []
 
     def counting(m):
@@ -149,15 +150,20 @@ def test_scalar_audit_orients_once(monkeypatch):
         return orient(m)
 
     # The package attribute `rankaudit.aggregate` is the function, not the module.
-    monkeypatch.setattr(importlib.import_module("rankaudit.aggregate"), "orient", counting)
-    monkeypatch.setattr(rankstats, "orient", counting, raising=False)
+    for module in ("rankaudit.scorebank", "rankaudit.aggregate", "rankaudit.rankstats"):
+        monkeypatch.setattr(importlib.import_module(module), "orient", counting, raising=False)
     m = build(np.random.default_rng(4).random((6, 5)), {"t1": MetricSpec(direction=LOWER)})
-    spec = AggregationSpec("macro_average", group_map={t: "g" for t in m.task_ids})
-    for size in (2, 3):
-        calls.clear()
-        result = unique_topk_audit(m, spec, size, 3)
-        assert len(calls) == 1
-        assert result.evaluated == comb(m.n_tasks, size)
+    groups = {t: "g" for t in m.task_ids}
+    for method in ("arithmetic_mean", "macro_average"):
+        result = unique_topk_audit(m, AggregationSpec(method, group_map=groups), 3, 3)
+        assert result.evaluated == comb(m.n_tasks, 3)
+    spec = AggregationSpec("macro_average", group_map=groups)
+    subsets = [("t0", "t1"), ("t1", "t2", "t3")]
+    rankstats.subset_tau_profile(m, spec, subsets)
+    rankstats.topk_table(m, spec, subsets, 2)
+    rankstats.aggregator_agreement(m, [spec, AggregationSpec("median")])
+    aggregate(m, None, spec)
+    assert calls == []
 
 
 @pytest.mark.parametrize("method", METHODS)
