@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations, islice
-from typing import Mapping, Sequence
+from functools import lru_cache
+from itertools import combinations
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -170,8 +171,11 @@ def permutation_test(
     """Two-sample permutation test on the difference of means, mean(b) - mean(a).
 
     All C(na+nb, na) reassignments are enumerated when their count is at
-    most `exact_limit`; otherwise `mc_samples` seeded random reassignments
-    estimate the p-value with the +1 correction so p stays in (0, 1].
+    most `exact_limit`, `_EXACT_CHUNK` at a time from the one cached index
+    matrix of their shape (`_side_a_rows`). Otherwise `mc_samples` seeded
+    random reassignments of the pool, each side's replicates sorted,
+    estimate the p-value with the +1 correction so p stays in (0, 1] and
+    does not depend on the order the replicates are listed in.
     A side whose sum overflows the float range is a DomainError, and so
     is a pooled sum of the positive or of the negative values that does:
     it bounds the sum of every reassignment.
@@ -202,8 +206,7 @@ def permutation_test(
     if total <= exact_limit:
         count = 0
         pooled_sum = float(pooled.sum())
-        reassignments = combinations(range(na + nb), na)
-        while len(idx := np.fromiter(islice(reassignments, _EXACT_CHUNK), (np.intp, na))):
+        for idx in _side_a_rows(na, nb):
             # Each row is summed by the same numpy reduction as the 1-D sum of
             # its values, so every stat matches a one-at-a-time loop bit for bit.
             sum_a = pooled[idx].sum(axis=1)
@@ -212,17 +215,50 @@ def permutation_test(
                           alternative, True, label=label)
 
     rng = np.random.default_rng(derive_seed(seed, "permutation", label or ""))
+    canonical = np.concatenate([np.sort(pooled[:na]), np.sort(pooled[na:])])
     count = 0
     batch = 2000
     done = 0
     while done < mc_samples:
         size = min(batch, mc_samples - done)
-        perms = rng.permuted(np.tile(pooled, (size, 1)), axis=1)
+        perms = rng.permuted(np.tile(canonical, (size, 1)), axis=1)
         count += hits(perms[:, na:].mean(axis=1) - perms[:, :na].mean(axis=1))
         done += size
     p = (1 + count) / (1 + mc_samples)
     return TestResult(observed, p, "permutation-mean-diff", alternative, False,
                       label=label, seed=seed)
+
+
+@lru_cache(maxsize=4)
+def _reassignments(n: int, m: int) -> np.ndarray:
+    """Every m-subset of range(n), one read-only row each, in lexicographic order.
+
+    Rows are `combinations(range(n), m)` in the narrowest unsigned dtype that
+    holds n - 1 (uint8 up to 256 replicates). The permutation test asks for
+    its smaller side, so at the default exact limit the largest shape is
+    (19, 9): 92,378 rows of 9 bytes.
+    """
+    rows = np.fromiter(combinations(range(n), m), (np.min_scalar_type(n - 1), m),
+                       count=math.comb(n, m))
+    rows.flags.writeable = False
+    return rows
+
+
+def _side_a_rows(na: int, nb: int) -> Iterator[np.ndarray]:
+    """Side a's indices of every reassignment, `_EXACT_CHUNK` rows at a time.
+
+    Each row is ascending, the tuple `combinations(range(na + nb), na)`
+    yields for it. The rows are sliced from the cached matrix of the
+    smaller side; when that is side b, a row's complement is side a's.
+    """
+    reassignments = _reassignments(na + nb, min(na, nb))
+    for start in range(0, len(reassignments), _EXACT_CHUNK):
+        idx = reassignments[start:start + _EXACT_CHUNK]
+        if na > nb:
+            mask = np.ones((len(idx), na + nb), dtype=bool)
+            np.put_along_axis(mask, idx, False, axis=1)
+            idx = np.nonzero(mask)[1].reshape(len(idx), na)
+        yield idx
 
 
 def per_dataset_tests(

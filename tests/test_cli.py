@@ -480,6 +480,50 @@ def test_compare_json_ignores_replicate_order(tmp_path, capsys):
     assert all(t["exact"] for t in outputs[0]["tests"]["per_dataset"])
     assert outputs[0] == outputs[1]
 
+    # Twelve values per side take the Monte-Carlo path, which permutes each
+    # side's replicates sorted, so its seeded p-value is order-free too.
+    rng = np.random.default_rng(1)
+    datasets = {f"d{i}": {side: (rng.integers(1, 100, size=12) / 100).tolist()
+                          for side in ("A", "B")} for i in range(2)}
+    outputs = []
+    for doc in (datasets,
+                {d: {side: reps[::-1] for side, reps in entry.items()}
+                 for d, entry in datasets.items()},
+                {d: {side: reps[5:] + reps[:5] for side, reps in entry.items()}
+                 for d, entry in datasets.items()}):
+        path.write_text(json.dumps({"datasets": doc}))
+        code, stdout, _ = run(capsys, "compare", "--replicates", str(path), "--format", "json")
+        assert code == 0
+        out = json.loads(stdout)
+        del out["provenance"]
+        outputs.append(out)
+    assert not any(t["exact"] for t in outputs[0]["tests"]["per_dataset"])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_compare_exact_rows_are_pinned(tmp_path, capsys):
+    # Exact-only shapes: 9+9 (48,620 reassignments), 4+12 and 12+4 (1,820
+    # each, sides a and b swapped). The digests pin every exact p-value and
+    # mean difference of compare.csv and of the JSON per-dataset block.
+    rng = np.random.default_rng(16)
+    shapes = [(9, 9), (9, 9), (4, 12), (12, 4)]
+    datasets = {f"d{i}": {"A": (rng.integers(50, 90, size=na) / 100).tolist(),
+                          "B": (rng.integers(55, 95, size=nb) / 100).tolist()}
+                for i, (na, nb) in enumerate(shapes)}
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps({"datasets": datasets}))
+    out = tmp_path / "cmp"
+    code, _, _ = run(capsys, "compare", "--replicates", str(path), "--seed", "3",
+                     "--out", str(out), "--format", "json")
+    assert code == 0
+    per_dataset = json.loads((out / "compare.json").read_text())["tests"]["per_dataset"]
+    assert [t["exact"] for t in per_dataset] == [True] * len(shapes)
+    block = json.dumps(per_dataset, sort_keys=True).encode()
+    json_digest = hashlib.sha256(block).hexdigest()
+    assert json_digest == "6c08f49b071f5a09ec0f46c28ccc53471478f018c3fbcb958d789871e5c01f9b"
+    csv_digest = hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest()
+    assert csv_digest == "65783b3a5dc39545367528f124e0fd219f5f4d53059db2d4e1fee1b17fd9a3fb"
+
 
 def test_compare_mixed_holm_subset(tmp_path, capsys):
     rng = np.random.default_rng(60)

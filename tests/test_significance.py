@@ -323,11 +323,14 @@ def test_permutation_exact_equals_loop_oracle(case):
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_permutation_exact_chunk_size_does_not_matter(chunk, monkeypatch):
-    # 126, 330 and 35 reassignments: none a multiple of 7, and the default
-    # chunk holds each in one pass
+    # 126, 330, 35, 56 and 330 reassignments: at chunk 7 the two 330s end in
+    # a partial chunk, and the default chunk holds each case in one pass.
+    # The last two have na > nb, so side a is the complement of side b's rows.
     cases = [([0.1, 0.2, 0.3, 0.1], [0.3, 0.2, 0.1, 0.2, 0.3]),
              ([0.25, 0.5, 0.25, 0.75], [0.5, 0.5, 0.75, 1.0, 0.25, 0.5, 0.75]),
-             ([0.01, 0.02, 0.03], [0.03, 0.02, 0.01, 0.04])]
+             ([0.01, 0.02, 0.03], [0.03, 0.02, 0.01, 0.04]),
+             ([0.3, 0.1, 0.7, 0.2, 0.1], [0.9, 0.2, 0.6]),
+             ([0.5, 0.25, 0.75, 0.5, 1.0, 0.25, 0.5], [0.75, 1.0, 0.5, 0.75])]
     default = [permutation_test(a, b, alt).p_value
                for a, b in cases for alt in (B_GREATER, TWO_SIDED)]
     monkeypatch.setattr(significance, "_EXACT_CHUNK", chunk)
@@ -336,6 +339,53 @@ def test_permutation_exact_chunk_size_does_not_matter(chunk, monkeypatch):
     assert chunked == default
     assert chunked == [permutation_loop_oracle(a, b, alt)
                        for a, b in cases for alt in (B_GREATER, TWO_SIDED)]
+
+
+@pytest.mark.parametrize("na, nb", [(6, 2), (6, 3), (7, 4), (2, 6), (4, 4)])
+@pytest.mark.parametrize("chunk", [7, significance._EXACT_CHUNK])
+def test_side_a_rows_are_every_combination_once(na, nb, chunk, monkeypatch):
+    monkeypatch.setattr(significance, "_EXACT_CHUNK", chunk)
+    chunks = list(significance._side_a_rows(na, nb))
+    assert all(len(idx) <= chunk for idx in chunks)
+    rows = [tuple(int(i) for i in row) for idx in chunks for row in idx]
+    assert len(rows) == comb(na + nb, na)
+    assert set(rows) == set(combinations(range(na + nb), na))
+
+
+def test_reassignments_cached_once_per_shape():
+    significance._reassignments.cache_clear()
+    rng = np.random.default_rng(16)
+    shapes = {"d0": (9, 9), "d1": (9, 9), "d2": (9, 9), "d3": (4, 12), "d4": (12, 4)}
+    reps_a = {d: rng.random(na).tolist() for d, (na, _) in shapes.items()}
+    reps_b = {d: rng.random(nb).tolist() for d, (_, nb) in shapes.items()}
+    results = per_dataset_tests(reps_a, reps_b)
+    assert all(r.exact for r in results)
+    # (18, 9) once for three datasets, (16, 4) once for both sides
+    assert significance._reassignments.cache_info().misses == 2
+
+
+def test_reassignments_are_read_only_and_bounded():
+    rows = significance._reassignments(6, 3)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 5
+    # the largest smaller-side shape under the default exact limit
+    assert comb(19, 9) <= significance.PERMUTATION_EXACT_LIMIT < comb(20, 10)
+    assert significance._reassignments(19, 9).nbytes == 831402
+    assert significance._reassignments(447, 2).dtype == np.uint16
+
+
+def test_permutation_monte_carlo_ignores_replicate_order():
+    # p near 0.53 and 0.94; permuting the pool in its listed order instead
+    # of the sorted one moves p by up to 0.015 under these reorderings
+    rng = np.random.default_rng(64)
+    a = rng.normal(0.0, 1.0, size=12).tolist()
+    b = rng.normal(0.0, 1.0, size=12).tolist()
+    for alternative in (B_GREATER, TWO_SIDED):
+        listed = permutation_test(a, b, alternative, mc_samples=5000, label="d")
+        assert not listed.exact
+        for a2, b2 in ((a[::-1], b[::-1]), (a[5:] + a[:5], b[1:] + b[:1])):
+            assert permutation_test(a2, b2, alternative, mc_samples=5000,
+                                    label="d") == listed
 
 
 def test_permutation_monte_carlo_close_to_exact():
