@@ -32,6 +32,11 @@ PERMUTATION_EXACT_LIMIT = 10**5
 PERMUTATION_MC_SAMPLES = 10**5
 # Reassignments per numpy pass of the exact permutation test.
 _EXACT_CHUNK = 2048
+# Values per block of the Monte-Carlo sampler; a block's table holds its
+# 2**12 subset sums, 32 KB of float64.
+_MC_BLOCK = 12
+# Monte-Carlo samples per numpy pass.
+_MC_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -172,15 +177,20 @@ def permutation_test(
 
     All C(na+nb, na) reassignments are enumerated when their count is at
     most `exact_limit`, `_EXACT_CHUNK` at a time from the one cached index
-    matrix of their shape (`_side_a_rows`). Otherwise `mc_samples` seeded
-    random reassignments of the pool, each side's replicates sorted,
-    estimate the p-value with the +1 correction so p stays in (0, 1] and
-    does not depend on the order the replicates are listed in.
+    matrix of their shape (`_side_a_rows`). Otherwise `mc_samples` (a
+    positive int) seeded uniform reassignments estimate the p-value with
+    the +1 correction, so p stays in (0, 1]. They are drawn as side a's sum
+    alone from subset-sum tables of a canonical pool, each side's
+    replicates sorted (`_side_a_sums`), so p does not depend on the order
+    the replicates are listed in. Both branches score a reassignment by the
+    same statistic of side a's sum.
     A side whose sum overflows the float range is a DomainError, and so
     is a pooled sum of the positive or of the negative values that does:
     it bounds the sum of every reassignment.
     """
     _check_alternative(alternative)
+    if isinstance(mc_samples, bool) or not isinstance(mc_samples, int) or mc_samples < 1:
+        raise ConfigError(f"mc_samples must be a positive int, got {mc_samples!r}")
     a = [float(x) for x in a]
     b = [float(x) for x in b]
     where = "permutation test" if label is None else f"permutation test {label!r}"
@@ -198,35 +208,71 @@ def permutation_test(
     eps = 1e-12 * max(1.0, abs(observed), float(np.max(np.abs(pooled))) or 1.0)
     total = math.comb(na + nb, na)
 
-    def hits(stats: np.ndarray) -> int:
+    def hits(pool_sum: float, sums_a: np.ndarray) -> int:
+        stats = (pool_sum - sums_a) / nb - sums_a / na
         if alternative == B_GREATER:
             return int(np.sum(stats >= observed - eps))
         return int(np.sum(np.abs(stats) >= abs(observed) - eps))
 
     if total <= exact_limit:
-        count = 0
         pooled_sum = float(pooled.sum())
-        for idx in _side_a_rows(na, nb):
-            # Each row is summed by the same numpy reduction as the 1-D sum of
-            # its values, so every stat matches a one-at-a-time loop bit for bit.
-            sum_a = pooled[idx].sum(axis=1)
-            count += hits((pooled_sum - sum_a) / nb - sum_a / na)
+        # Each row is summed by the same numpy reduction as the 1-D sum of
+        # its values, so every stat matches a one-at-a-time loop bit for bit.
+        count = sum(hits(pooled_sum, pooled[idx].sum(axis=1)) for idx in _side_a_rows(na, nb))
         return TestResult(observed, count / total, "permutation-mean-diff",
                           alternative, True, label=label)
 
     rng = np.random.default_rng(derive_seed(seed, "permutation", label or ""))
     canonical = np.concatenate([np.sort(pooled[:na]), np.sort(pooled[na:])])
-    count = 0
-    batch = 2000
-    done = 0
-    while done < mc_samples:
-        size = min(batch, mc_samples - done)
-        perms = rng.permuted(np.tile(canonical, (size, 1)), axis=1)
-        count += hits(perms[:, na:].mean(axis=1) - perms[:, :na].mean(axis=1))
-        done += size
+    canonical_sum = float(canonical.sum())
+    count = sum(hits(canonical_sum, sums_a)
+                for sums_a in _side_a_sums(canonical, na, mc_samples, rng))
     p = (1 + count) / (1 + mc_samples)
     return TestResult(observed, p, "permutation-mean-diff", alternative, False,
                       label=label, seed=seed)
+
+
+def _subset_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^w subset sums of w values, grouped by subset size, and where each group starts.
+
+    Bit j of a subset's index selects values[j], and its sum adds the values
+    in index order. Sizes come in ascending order and each group keeps
+    index order; the c-subsets are `sums[first[c]:first[c + 1]]`.
+    """
+    w = len(values)
+    sums = np.zeros(1 << w)
+    for j, v in enumerate(values):
+        sums[1 << j:2 << j] = sums[:1 << j] + v
+    order = np.argsort(np.bitwise_count(np.arange(1 << w)), kind="stable")
+    first = np.cumsum([0] + [math.comb(w, c) for c in range(w + 1)])
+    return sums[order], first
+
+
+def _side_a_sums(pool: np.ndarray, na: int, samples: int,
+                 rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Sums of `samples` uniform random na-subsets of `pool`, `_MC_CHUNK` at a time.
+
+    The pool is cut into consecutive blocks of at most `_MC_BLOCK` values,
+    each with its table of subset sums (`_subset_sums`). A sample visits
+    the blocks in order: a block takes a hypergeometric count of the values
+    still to take, drawn against the values after it (the last block takes
+    the rest), and then one subset of that size, uniform over its table.
+    The counts of a uniform na-subset across the blocks are multivariate
+    hypergeometric and, given them, each block's part is uniform, so every
+    na-subset is drawn with probability 1 / C(len(pool), na).
+    """
+    blocks = []
+    for start in range(0, len(pool), _MC_BLOCK):
+        values = pool[start:start + _MC_BLOCK]
+        blocks.append((len(values), len(pool) - start - len(values), *_subset_sums(values)))
+    for done in range(0, samples, _MC_CHUNK):
+        left = np.full(min(_MC_CHUNK, samples - done), na)
+        sums = np.zeros(len(left))
+        for width, after, table, first in blocks:
+            take = rng.hypergeometric(width, after, left) if after else left
+            sums += table[rng.integers(first[take], first[take + 1])]
+            left -= take
+        yield sums
 
 
 @lru_cache(maxsize=4)

@@ -1,5 +1,7 @@
+import tracemalloc
+from collections import Counter
 from itertools import combinations, product
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -90,6 +92,34 @@ def permutation_loop_oracle(a, b, alternative):
             hit = abs(stat) >= abs(observed) - eps
         count += hit
     return count / total
+
+
+def subset_sum_oracle(a, b, alternative):
+    """Exact p from the number of side-a reassignments with each sum.
+
+    Integer replicates only: every subset sum is then exact in float, so
+    the statistic of a sum is the one `permutation_test` computes from it,
+    with the same observed, eps and hit test. Counts by (size, sum), so it
+    stays cheap where C(na + nb, na) is in the millions.
+    """
+    assert all(float(x).is_integer() for x in list(a) + list(b))
+    na, nb = len(a), len(b)
+    counts = {(0, 0.0): 1}
+    for x in list(a) + list(b):
+        for (size, total), c in list(counts.items()):
+            if size < na:
+                key = (size + 1, total + float(x))
+                counts[key] = counts.get(key, 0) + c
+    pooled_sum = float(sum(a) + sum(b))
+    observed = sum(b) / nb - sum(a) / na
+    eps = 1e-12 * max(1.0, abs(observed), max(abs(x) for x in list(a) + list(b)))
+    count = 0
+    for (size, sum_a), c in counts.items():
+        stat = (pooled_sum - sum_a) / nb - sum_a / na
+        if size == na and (stat >= observed - eps if alternative == B_GREATER
+                           else abs(stat) >= abs(observed) - eps):
+            count += c
+    return count / comb(na + nb, na)
 
 
 @st.composite
@@ -398,6 +428,80 @@ def test_permutation_monte_carlo_close_to_exact():
     assert not mc.exact
     assert mc.seed == 9
     assert mc.p_value == pytest.approx(exact.p_value, abs=0.02)
+
+
+@pytest.mark.parametrize("alternative", [B_GREATER, TWO_SIDED])
+@pytest.mark.parametrize("na, nb", [(3, 25), (20, 5), (14, 2), (12, 13)])
+def test_permutation_monte_carlo_matches_exact_across_blocks(na, nb, alternative):
+    # 28, 25, 16 and 25 values: three, three, two and three blocks, the last
+    # one short; 20+5 samples the larger side. 12+13 is past any exact limit worth running,
+    # so the subset-sum oracle stands in for the exact branch, which must
+    # equal it on the three shapes it can enumerate.
+    rng = np.random.default_rng(17)
+    a = rng.integers(50, 90, size=na).astype(float).tolist()
+    b = rng.integers(55, 95, size=nb).astype(float).tolist()
+    exact = subset_sum_oracle(a, b, alternative)
+    assert 0.01 < exact < 0.99
+    if comb(na + nb, na) <= significance.PERMUTATION_EXACT_LIMIT:
+        assert permutation_test(a, b, alternative).p_value == exact
+    mc = permutation_test(a, b, alternative, exact_limit=1, seed=5)
+    assert not mc.exact
+    se = sqrt(exact * (1 - exact) / significance.PERMUTATION_MC_SAMPLES)
+    assert abs(mc.p_value - exact) <= 4 * se
+
+
+@pytest.mark.parametrize("na", [3, 5])
+@pytest.mark.parametrize("block", [1, 3, significance._MC_BLOCK])
+@pytest.mark.parametrize("pool", [[1, 2, 2, 3, 3, 3, 5, 7], [1, 2, 4, 8, 16, 32, 64, 128]])
+def test_side_a_sums_are_uniform_subsets(pool, block, na, monkeypatch):
+    # Blocks of 3 cut the 8 values 3 + 3 + 2, and blocks of 12 leave one
+    # block, which takes every value itself. The tied pool checks each
+    # distinct sum; the powers of two give every subset a sum of its own.
+    monkeypatch.setattr(significance, "_MC_BLOCK", block)
+    draws = 40_000
+    expected = Counter(sum(c) for c in combinations(pool, na))
+    chunks = significance._side_a_sums(np.array(pool, dtype=float), na, draws,
+                                       np.random.default_rng(18))
+    seen = Counter(np.concatenate(list(chunks)).tolist())
+    assert set(seen) <= set(expected)
+    for value, c in expected.items():
+        p = c / comb(len(pool), na)
+        assert abs(seen[value] / draws - p) <= 4.5 * sqrt(p * (1 - p) / draws)
+
+
+def test_side_a_sums_yields_exactly_the_samples_asked():
+    chunk = significance._MC_CHUNK
+    chunks = list(significance._side_a_sums(np.arange(24.0), 12, chunk + 1,
+                                            np.random.default_rng(0)))
+    assert [len(sums) for sums in chunks] == [chunk, 1]
+    sums = np.concatenate(chunks)
+    # twelve of 0..23 sum to an integer between 0+...+11 and 12+...+23
+    assert np.all((sums == np.round(sums)) & (sums >= 66) & (sums <= 210))
+
+
+def test_permutation_monte_carlo_memory_is_bounded():
+    # Samples are drawn a chunk at a time from two 32 KB tables; drawing all
+    # 10^5 in one pass, or permuting a tiled pool, peaks past 1 MB.
+    rng = np.random.default_rng(19)
+    a, b = rng.random(12).tolist(), rng.random(12).tolist()
+    tracemalloc.start()
+    try:
+        assert not permutation_test(a, b).exact
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("mc_samples", [0, -1, -2, True, 2.0])
+def test_permutation_rejects_mc_samples_that_are_not_positive_ints(mc_samples):
+    # the parent ran 0 samples to p = 1.0, failed -1 on a ZeroDivisionError,
+    # -2 on its own p-value of -1.0 and ran True as one sample
+    with pytest.raises(ConfigError, match="mc_samples"):
+        permutation_test([0.1, 0.2, 0.3], [0.4, 0.5, 0.6], exact_limit=0,
+                         mc_samples=mc_samples)
+    with pytest.raises(ConfigError, match="mc_samples"):
+        per_dataset_tests({"d1": [0.1, 0.2]}, {"d1": [0.3, 0.4]}, mc_samples=mc_samples)
 
 
 def test_permutation_antisymmetry_of_one_sided_p():
