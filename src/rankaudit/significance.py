@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,8 +28,6 @@ B_GREATER = "b-greater"
 WILCOXON_EXACT_LIMIT = 20
 PERMUTATION_EXACT_LIMIT = 10**5
 PERMUTATION_MC_SAMPLES = 10**5
-# Reassignments per numpy pass of the exact permutation test.
-_EXACT_CHUNK = 2048
 # Values per block of the Monte-Carlo sampler; a block's table holds its
 # 2**12 subset sums, 32 KB of float64.
 _MC_BLOCK = 12
@@ -176,14 +172,14 @@ def permutation_test(
     """Two-sample permutation test on the difference of means, mean(b) - mean(a).
 
     All C(na+nb, na) reassignments are enumerated when their count is at
-    most `exact_limit`, `_EXACT_CHUNK` at a time from the one cached index
-    matrix of their shape (`_side_a_rows`). Otherwise `mc_samples` (a
-    positive int) seeded uniform reassignments estimate the p-value with
-    the +1 correction, so p stays in (0, 1]. They are drawn as side a's sum
-    alone from subset-sum tables of a canonical pool, each side's
-    replicates sorted (`_side_a_sums`), so p does not depend on the order
-    the replicates are listed in. Both branches score a reassignment by the
-    same statistic of side a's sum.
+    most `exact_limit`, as the na-subset sums of the pooled replicates
+    (`_sums_by_size`). Otherwise `mc_samples` (a positive int) seeded
+    uniform reassignments estimate the p-value with the +1 correction, so
+    p stays in (0, 1]. They are drawn as side a's sum alone from per-block
+    subset-sum tables, built by the same `_sums_by_size`, of a canonical
+    pool, each side's replicates sorted (`_side_a_sums`), so p does not
+    depend on the order the replicates are listed in. Both branches score
+    a reassignment by the same statistic of side a's sum.
     A side whose sum overflows the float range is a DomainError, and so
     is a pooled sum of the positive or of the negative values that does:
     it bounds the sum of every reassignment.
@@ -209,16 +205,16 @@ def permutation_test(
     total = math.comb(na + nb, na)
 
     def hits(pool_sum: float, sums_a: np.ndarray) -> int:
-        stats = (pool_sum - sums_a) / nb - sums_a / na
+        # every caller passes a fresh sums_a, so it and stats are updated in
+        # place: one temporary of their size instead of three
+        stats = (pool_sum - sums_a) / nb
+        stats -= np.divide(sums_a, na, out=sums_a)
         if alternative == B_GREATER:
             return int(np.sum(stats >= observed - eps))
-        return int(np.sum(np.abs(stats) >= abs(observed) - eps))
+        return int(np.sum(np.abs(stats, out=stats) >= abs(observed) - eps))
 
     if total <= exact_limit:
-        pooled_sum = float(pooled.sum())
-        # Each row is summed by the same numpy reduction as the 1-D sum of
-        # its values, so every stat matches a one-at-a-time loop bit for bit.
-        count = sum(hits(pooled_sum, pooled[idx].sum(axis=1)) for idx in _side_a_rows(na, nb))
+        count = hits(float(pooled.sum()), _sums_by_size(pooled, na, na)[0])
         return TestResult(observed, count / total, "permutation-mean-diff",
                           alternative, True, label=label)
 
@@ -232,20 +228,28 @@ def permutation_test(
                       label=label, seed=seed)
 
 
-def _subset_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^w subset sums of w values, grouped by subset size, and where each group starts.
+def _sums_by_size(values: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
+    """The sums of every c-subset of `values`, one array for each c from lo to hi.
 
-    Bit j of a subset's index selects values[j], and its sum adds the values
-    in index order. Sizes come in ascending order and each group keeps
-    index order; the c-subsets are `sums[first[c]:first[c + 1]]`.
+    One pass over the values extends each c-subset sum by the next value,
+    so a sum adds its values in index order and each array lists its
+    subsets in ascending bitmask order (bit j selects values[j]). Sizes the
+    values still to come cannot lift to lo are dropped as the pass goes.
+    Each kept partial subset extends to a distinct subset of a returned
+    size, so no array is longer than the longest one returned.
     """
-    w = len(values)
-    sums = np.zeros(1 << w)
-    for j, v in enumerate(values):
-        sums[1 << j:2 << j] = sums[:1 << j] + v
-    order = np.argsort(np.bitwise_count(np.arange(1 << w)), kind="stable")
-    first = np.cumsum([0] + [math.comb(w, c) for c in range(w + 1)])
-    return sums[order], first
+    n = len(values)
+    empty = np.zeros(0)
+    sums = {0: np.zeros(1)}
+    for t, v in enumerate(values):
+        grown = {}
+        for c in range(max(0, lo - (n - t - 1)), min(t + 1, hi) + 1):
+            without_v = sums.get(c, empty)
+            grown[c] = np.concatenate((without_v, sums.get(c - 1, empty)))
+            # added in place, so the subsets with v need no temporary array
+            grown[c][len(without_v):] += v
+        sums = grown
+    return [sums[c] for c in range(lo, hi + 1)]
 
 
 def _side_a_sums(pool: np.ndarray, na: int, samples: int,
@@ -253,7 +257,8 @@ def _side_a_sums(pool: np.ndarray, na: int, samples: int,
     """Sums of `samples` uniform random na-subsets of `pool`, `_MC_CHUNK` at a time.
 
     The pool is cut into consecutive blocks of at most `_MC_BLOCK` values,
-    each with its table of subset sums (`_subset_sums`). A sample visits
+    each with its table of every subset sum, grouped by subset size; the
+    c-subsets of a block are `table[first[c]:first[c + 1]]`. A sample visits
     the blocks in order: a block takes a hypergeometric count of the values
     still to take, drawn against the values after it (the last block takes
     the rest), and then one subset of that size, uniform over its table.
@@ -264,7 +269,10 @@ def _side_a_sums(pool: np.ndarray, na: int, samples: int,
     blocks = []
     for start in range(0, len(pool), _MC_BLOCK):
         values = pool[start:start + _MC_BLOCK]
-        blocks.append((len(values), len(pool) - start - len(values), *_subset_sums(values)))
+        by_size = _sums_by_size(values, 0, len(values))
+        first = np.cumsum([0] + [len(sums) for sums in by_size])
+        blocks.append((len(values), len(pool) - start - len(values),
+                       np.concatenate(by_size), first))
     for done in range(0, samples, _MC_CHUNK):
         left = np.full(min(_MC_CHUNK, samples - done), na)
         sums = np.zeros(len(left))
@@ -273,38 +281,6 @@ def _side_a_sums(pool: np.ndarray, na: int, samples: int,
             sums += table[rng.integers(first[take], first[take + 1])]
             left -= take
         yield sums
-
-
-@lru_cache(maxsize=4)
-def _reassignments(n: int, m: int) -> np.ndarray:
-    """Every m-subset of range(n), one read-only row each, in lexicographic order.
-
-    Rows are `combinations(range(n), m)` in the narrowest unsigned dtype that
-    holds n - 1 (uint8 up to 256 replicates). The permutation test asks for
-    its smaller side, so at the default exact limit the largest shape is
-    (19, 9): 92,378 rows of 9 bytes.
-    """
-    rows = np.fromiter(combinations(range(n), m), (np.min_scalar_type(n - 1), m),
-                       count=math.comb(n, m))
-    rows.flags.writeable = False
-    return rows
-
-
-def _side_a_rows(na: int, nb: int) -> Iterator[np.ndarray]:
-    """Side a's indices of every reassignment, `_EXACT_CHUNK` rows at a time.
-
-    Each row is ascending, the tuple `combinations(range(na + nb), na)`
-    yields for it. The rows are sliced from the cached matrix of the
-    smaller side; when that is side b, a row's complement is side a's.
-    """
-    reassignments = _reassignments(na + nb, min(na, nb))
-    for start in range(0, len(reassignments), _EXACT_CHUNK):
-        idx = reassignments[start:start + _EXACT_CHUNK]
-        if na > nb:
-            mask = np.ones((len(idx), na + nb), dtype=bool)
-            np.put_along_axis(mask, idx, False, axis=1)
-            idx = np.nonzero(mask)[1].reshape(len(idx), na)
-        yield idx
 
 
 def per_dataset_tests(
@@ -341,14 +317,14 @@ def holm_correction(
     for p in ps:
         if not (0 < p <= 1):
             raise ConfigError(f"p-value {p} outside (0, 1]")
+    if method not in ("holm", "bonferroni"):
+        raise ConfigError(f"unknown correction method {method!r}")
     m = len(ps)
     rejected = [False] * m
     if m == 0:
         return rejected
     if method == "bonferroni":
         return [p <= alpha / m for p in ps]
-    if method != "holm":
-        raise ConfigError(f"unknown correction method {method!r}")
     order = sorted(range(m), key=lambda i: ps[i])
     for step, idx in enumerate(order):
         if ps[idx] <= alpha / (m - step):

@@ -525,6 +525,31 @@ def test_compare_exact_rows_are_pinned(tmp_path, capsys):
     assert csv_digest == "65783b3a5dc39545367528f124e0fd219f5f4d53059db2d4e1fee1b17fd9a3fb"
 
 
+def test_compare_monte_carlo_rows_are_pinned(tmp_path, capsys):
+    # Monte-Carlo-only shapes: 12+12 (2.7M reassignments) samples from two
+    # full subset-sum blocks; 20+9 and 9+20 (10M each) from three, the last
+    # of 5 values. The digests pin every seeded p-value of compare.csv and
+    # of the JSON per-dataset block, so they pin the sampler's stream.
+    rng = np.random.default_rng(18)
+    shapes = [(12, 12), (20, 9), (9, 20)]
+    datasets = {f"d{i}": {"A": (rng.integers(50, 90, size=na) / 100).tolist(),
+                          "B": (rng.integers(55, 95, size=nb) / 100).tolist()}
+                for i, (na, nb) in enumerate(shapes)}
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({"datasets": datasets}))
+    out = tmp_path / "cmp"
+    code, _, _ = run(capsys, "compare", "--replicates", str(path), "--seed", "3",
+                     "--out", str(out), "--format", "json")
+    assert code == 0
+    per_dataset = json.loads((out / "compare.json").read_text())["tests"]["per_dataset"]
+    assert [t["exact"] for t in per_dataset] == [False] * len(shapes)
+    block = json.dumps(per_dataset, sort_keys=True).encode()
+    json_digest = hashlib.sha256(block).hexdigest()
+    assert json_digest == "cfce494569c94de339372c2038472157f17555a58e952bbf771be3da3269d8dd"
+    csv_digest = hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest()
+    assert csv_digest == "347d9620194ed22125fcb7c18a1d7276900896bd55bf08ed3e551bea06569b23"
+
+
 def test_compare_mixed_holm_subset(tmp_path, capsys):
     rng = np.random.default_rng(60)
     datasets = {}

@@ -70,8 +70,10 @@ def permutation_exact_oracle(a, b, alternative):
 def permutation_loop_oracle(a, b, alternative):
     """The exact branch as it was: one reassignment per loop iteration.
 
-    Same observed, eps and hit test as `permutation_test`, so the chunked
-    numpy pass must give exactly this p.
+    Same observed, eps and hit test as `permutation_test`. Each side-a sum
+    here is numpy's reduction of the row, while `permutation_test` adds a
+    subset's values left to right in index order. The two roundings differ
+    by a few ulps, far below eps, so the counts and the p still agree.
     """
     a = [float(x) for x in a]
     b = [float(x) for x in b]
@@ -351,57 +353,105 @@ def test_permutation_exact_equals_loop_oracle(case):
         assert res.p_value == permutation_loop_oracle(a, b, alternative)
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_permutation_exact_chunk_size_does_not_matter(chunk, monkeypatch):
-    # 126, 330, 35, 56 and 330 reassignments: at chunk 7 the two 330s end in
-    # a partial chunk, and the default chunk holds each case in one pass.
-    # The last two have na > nb, so side a is the complement of side b's rows.
-    cases = [([0.1, 0.2, 0.3, 0.1], [0.3, 0.2, 0.1, 0.2, 0.3]),
-             ([0.25, 0.5, 0.25, 0.75], [0.5, 0.5, 0.75, 1.0, 0.25, 0.5, 0.75]),
-             ([0.01, 0.02, 0.03], [0.03, 0.02, 0.01, 0.04]),
-             ([0.3, 0.1, 0.7, 0.2, 0.1], [0.9, 0.2, 0.6]),
-             ([0.5, 0.25, 0.75, 0.5, 1.0, 0.25, 0.5], [0.75, 1.0, 0.5, 0.75])]
-    default = [permutation_test(a, b, alt).p_value
-               for a, b in cases for alt in (B_GREATER, TWO_SIDED)]
-    monkeypatch.setattr(significance, "_EXACT_CHUNK", chunk)
-    chunked = [permutation_test(a, b, alt).p_value
-               for a, b in cases for alt in (B_GREATER, TWO_SIDED)]
-    assert chunked == default
-    assert chunked == [permutation_loop_oracle(a, b, alt)
-                       for a, b in cases for alt in (B_GREATER, TWO_SIDED)]
+# 126, 330, 35, 56 and 330 reassignments; the last two have na > nb, so
+# side a takes most of the pool.
+@pytest.mark.parametrize("a, b", [
+    ([0.1, 0.2, 0.3, 0.1], [0.3, 0.2, 0.1, 0.2, 0.3]),
+    ([0.25, 0.5, 0.25, 0.75], [0.5, 0.5, 0.75, 1.0, 0.25, 0.5, 0.75]),
+    ([0.01, 0.02, 0.03], [0.03, 0.02, 0.01, 0.04]),
+    ([0.3, 0.1, 0.7, 0.2, 0.1], [0.9, 0.2, 0.6]),
+    ([0.5, 0.25, 0.75, 0.5, 1.0, 0.25, 0.5], [0.75, 1.0, 0.5, 0.75]),
+])
+def test_permutation_exact_shapes_equal_loop_oracle(a, b):
+    for alternative in (B_GREATER, TWO_SIDED):
+        res = permutation_test(a, b, alternative)
+        assert res.exact
+        assert res.p_value == permutation_loop_oracle(a, b, alternative)
 
 
-@pytest.mark.parametrize("na, nb", [(6, 2), (6, 3), (7, 4), (2, 6), (4, 4)])
-@pytest.mark.parametrize("chunk", [7, significance._EXACT_CHUNK])
-def test_side_a_rows_are_every_combination_once(na, nb, chunk, monkeypatch):
-    monkeypatch.setattr(significance, "_EXACT_CHUNK", chunk)
-    chunks = list(significance._side_a_rows(na, nb))
-    assert all(len(idx) <= chunk for idx in chunks)
-    rows = [tuple(int(i) for i in row) for idx in chunks for row in idx]
-    assert len(rows) == comb(na + nb, na)
-    assert set(rows) == set(combinations(range(na + nb), na))
+@pytest.mark.parametrize("na, nb", [(2, 6), (3, 6), (4, 7), (6, 2), (4, 4)])
+def test_exact_sums_are_every_side_a_once(na, nb):
+    # Distinct powers of two give every subset its own exact sum, so the
+    # pruned array of the exact branch names each na-subset once, in
+    # ascending bitmask order.
+    pool = 2.0 ** np.arange(na + nb)
+    (sums,) = significance._sums_by_size(pool, na, na)
+    masks = sorted(sum(1 << i for i in idx) for idx in combinations(range(na + nb), na))
+    assert sums.tolist() == [float(mask) for mask in masks]
 
 
-def test_reassignments_cached_once_per_shape():
-    significance._reassignments.cache_clear()
-    rng = np.random.default_rng(16)
-    shapes = {"d0": (9, 9), "d1": (9, 9), "d2": (9, 9), "d3": (4, 12), "d4": (12, 4)}
-    reps_a = {d: rng.random(na).tolist() for d, (na, _) in shapes.items()}
-    reps_b = {d: rng.random(nb).tolist() for d, (_, nb) in shapes.items()}
-    results = per_dataset_tests(reps_a, reps_b)
-    assert all(r.exact for r in results)
-    # (18, 9) once for three datasets, (16, 4) once for both sides
-    assert significance._reassignments.cache_info().misses == 2
+def doubling_table(values):
+    """Every subset sum of `values` by doubling, grouped by size in bitmask order."""
+    w = len(values)
+    sums = np.zeros(1 << w)
+    for j, v in enumerate(values):
+        sums[1 << j:2 << j] = sums[:1 << j] + v
+    order = np.argsort(np.bitwise_count(np.arange(1 << w)), kind="stable")
+    return sums[order]
 
 
-def test_reassignments_are_read_only_and_bounded():
-    rows = significance._reassignments(6, 3)
-    with pytest.raises(ValueError):
-        rows[0, 0] = 5
-    # the largest smaller-side shape under the default exact limit
-    assert comb(19, 9) <= significance.PERMUTATION_EXACT_LIMIT < comb(20, 10)
-    assert significance._reassignments(19, 9).nbytes == 831402
-    assert significance._reassignments(447, 2).dtype == np.uint16
+@pytest.mark.parametrize("values", [[0.1, 0.2, 0.2, 0.3, 0.1, 0.7, 0.3],
+                                    [0.01, 1e16, 0.3, -1e16, 0.07, 0.11, 2.5, 0.3]])
+def test_sums_by_size_equals_left_to_right_sums(values):
+    # Tied decimals, and a pool where the order of the additions shows:
+    # 1e16 swallows 0.01 and the later -1e16 cannot bring it back.
+    n = len(values)
+    pool = np.array(values)
+    for lo, hi in [(0, n), (0, 0), (n, n), (3, 3), (2, 5), (0, 2), (5, n)]:
+        by_size = significance._sums_by_size(pool, lo, hi)
+        assert len(by_size) == hi - lo + 1
+        for c, sums in zip(range(lo, hi + 1), by_size):
+            subsets = sorted(combinations(range(n), c),
+                             key=lambda idx: sum(1 << i for i in idx))
+            expected = []
+            for idx in subsets:
+                total = 0.0
+                for i in idx:
+                    total += values[i]
+                expected.append(total)
+            assert sums.tolist() == expected
+    assert np.array_equal(np.concatenate(significance._sums_by_size(pool, 0, n)),
+                          doubling_table(pool))
+
+
+@pytest.mark.parametrize("pool", [[1, 2, 2, 3, 3, 3, 5, 7], np.linspace(0.1, 2.9, 29)])
+def test_side_a_sums_block_tables_equal_doubling_table(pool, monkeypatch):
+    # Each block's table and group starts must be the ones the sampler has
+    # always drawn from, or a seeded Monte-Carlo p-value moves.
+    pool = np.array(pool, dtype=float)
+    tables = []
+    build = significance._sums_by_size
+
+    def recorded(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(significance, "_sums_by_size", recorded)
+    next(significance._side_a_sums(pool, 3, 1, np.random.default_rng(0)))
+    blocks = [pool[i:i + significance._MC_BLOCK]
+              for i in range(0, len(pool), significance._MC_BLOCK)]
+    assert len(tables) == len(blocks)
+    for by_size, block in zip(tables, blocks):
+        assert [len(sums) for sums in by_size] == [comb(len(block), c)
+                                                    for c in range(len(block) + 1)]
+        assert np.array_equal(np.concatenate(by_size), doubling_table(block))
+
+
+@pytest.mark.parametrize("na, nb", [(10, 9), (9, 10), (445, 2), (2, 445)])
+def test_permutation_exact_memory_is_bounded(na, nb):
+    # 92,378 or 99,681 reassignments, under the default exact limit: one
+    # array of their sums is 0.8 MB. Building side a's 445 indices of every
+    # 445+2 reassignment, even 2,048 rows at a time, peaks near 30 MB.
+    rng = np.random.default_rng(20)
+    a, b = rng.random(na).tolist(), rng.random(nb).tolist()
+    assert comb(na + nb, na) <= significance.PERMUTATION_EXACT_LIMIT
+    tracemalloc.start()
+    try:
+        assert permutation_test(a, b).exact
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6
 
 
 def test_permutation_monte_carlo_ignores_replicate_order():
@@ -594,6 +644,8 @@ def test_correction_validation():
         holm_correction([0.0], 0.05)
     with pytest.raises(ConfigError):
         holm_correction([0.5], 0.05, method="fdr")
+    with pytest.raises(ConfigError):
+        holm_correction([], 0.05, "bogus")
 
 
 @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=10),
