@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -112,7 +111,7 @@ def _top(codes: np.ndarray, n_models: int, k: int) -> np.ndarray:
     group = codes // n_models  # -1 on padding
     cut = group[:, min(k, codes.shape[1]) - 1]
     top = np.where(group <= cut[:, None], codes, -1)
-    return top[:, :(top >= 0).sum(axis=1).max()]
+    return top[:, :(top >= 0).sum(axis=1).max()].copy()
 
 
 @dataclass(frozen=True)
@@ -169,16 +168,33 @@ def _result(size: int, total: int, exact: bool, coded: _CodedTopK) -> SubsetAudi
     return SubsetAuditResult(size, coded.k, len(coded.unique()[0]), total, coded, exact)
 
 
-def _sampled_subsets(n_tasks: int, size: int, budget: int, seed: int) -> np.ndarray:
-    """Uniform sample of `budget` distinct subsets, deterministic in seed.
+def _unrank(ranks: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Rows of the size-subsets of range(n) at these ranks in `combinations` order.
 
-    Rows of task indices, ascending within a row, rows in lexicographic order.
+    One pass over the candidates (the combinadic, Knuth TAOCP 7.2.1.3): a row
+    with s places left takes j if its remaining rank is below C(n-1-j, s-1),
+    the subsets that take j, and otherwise skips them.  The int64 table holds
+    only counts some row reaches (size - j <= s <= n - j), each <= C(n, size).
     """
+    taking = np.array([[comb(n - 1 - j, s - 1) if max(size - j, 1) <= s <= n - j else 0
+                        for s in range(size + 1)] for j in range(n)], dtype=np.int64)
+    rows = np.empty((len(ranks), size), dtype=np.intp)
+    rest = ranks.astype(np.int64)
+    left = np.full(len(ranks), size, dtype=np.intp)
+    for j in range(n):
+        count = taking[j, left]
+        take = np.flatnonzero(rest < count)
+        rows[take, size - left[take]] = j
+        count[take] = 0
+        rest -= count
+        left[take] -= 1
+    return rows
+
+
+def _sampled_subsets(total: int, size: int, budget: int, seed: int) -> np.ndarray:
+    """Sorted ranks of a seeded uniform sample of `budget` distinct subsets of `total`."""
     rng = np.random.default_rng(derive_seed(seed, "subset-sample", size))
-    seen: set[tuple[int, ...]] = set()
-    while len(seen) < budget:
-        seen.add(tuple(sorted(rng.choice(n_tasks, size=size, replace=False).tolist())))
-    return np.array(sorted(seen), dtype=np.intp)
+    return np.sort(rng.choice(total, budget, replace=False, shuffle=False))
 
 
 def _subset_codes(
@@ -250,23 +266,26 @@ def unique_topk_audit(
     in `aggregate.BATCHED`, with the same result as `aggregate` per
     subset.  Enumeration is exhaustive unless C(T, size) exceeds
     `sampling_budget`, in which case a seeded uniform sample without
-    replacement is used and the result is flagged as sampled.  The
-    result's `for_k` gives every smaller k from the same codes.
+    replacement is used and the result is flagged as sampled.  Either way
+    the rows are unranked from int64 lexicographic ranks, so C(T, size)
+    must be below 2**63.  The result's `for_k` gives every smaller k from
+    the same codes.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if isinstance(sampling_budget, bool) or not isinstance(sampling_budget, int):
+        raise ConfigError(f"sampling_budget must be an int, got {sampling_budget!r}")
     if sampling_budget < 1:
         raise ConfigError(f"sampling budget must be >= 1, got {sampling_budget}")
     total = comb(m.n_tasks, size) if 1 <= size <= m.n_tasks else 0
     if total == 0:
         raise ConfigError(f"subset size must be in [1, {m.n_tasks}], got {size}")
-    if total <= sampling_budget:
-        subsets = np.fromiter(combinations(range(m.n_tasks), size),
-                              dtype=np.dtype((np.intp, (size,))), count=total)
-        exact = True
-    else:
-        subsets = _sampled_subsets(m.n_tasks, size, sampling_budget, seed)
-        exact = False
+    if total >= 2**63:
+        raise ConfigError(f"C({m.n_tasks}, {size}) = {total} subsets of size {size}: "
+                          "an audit ranks its subsets in int64, so C(T, size) must be below 2**63")
+    exact = total <= sampling_budget
+    ranks = np.arange(total) if exact else _sampled_subsets(total, size, sampling_budget, seed)
+    subsets = _unrank(ranks, m.n_tasks, size)
     codes = _subset_codes(m, spec, subsets, k)
     return _result(size, total, exact, _CodedTopK(m.model_ids, m.task_ids, subsets, codes, k))
 

@@ -114,6 +114,32 @@ def test_audit_exhaustive_within_budget_flagged_exact(tmp_path, capsys):
     assert json.loads(huge_out)["audits"] == doc["audits"]
 
 
+def test_audit_exhaustive_outputs_are_pinned(tmp_path, capsys):
+    # 12 models x 9 tasks of tie-heavy integer scores, t2 and t6 lower is
+    # better; sizes 1, 4 (126 subsets) and 9 are all exhaustive.  The digests
+    # pin the curve, the per-subset listing and the JSON audits block.
+    rng = np.random.default_rng(19)
+    lines = ["model," + ",".join(f"t{j}" for j in range(9))] + [
+        f"m{i}," + ",".join(map(str, row)) for i, row in enumerate(rng.integers(0, 4, (12, 9)))]
+    matrix = tmp_path / "pin.csv"
+    matrix.write_text("\n".join(lines) + "\n")
+    metrics = tmp_path / "pin-metrics.json"
+    metrics.write_text(json.dumps({"tasks": {"t2": {"direction": "lower"},
+                                             "t6": {"direction": "lower"}}}))
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "audit", "--matrix", str(matrix), "--metrics", str(metrics),
+                     "--sizes", "1,4,9", "--ks", "1,3", "--out", str(out))
+    assert code == 0
+    audits = json.loads((out / "audit.json").read_text())["audits"]
+    assert all(a["exact"] for a in audits)
+    digests = [hashlib.sha256(json.dumps(audits, sort_keys=True).encode()).hexdigest()] + [
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("audit_curve.csv", "audit_subsets.csv")]
+    assert digests == ["8601ee56c7274ae40efda105158832d48efdc87459e5cf743d38a072582806dd",
+                       "0e1c3092a5a85edace183c135b4419f1143f0b71372b799d8739a27707d552cd",
+                       "ff676c32d884a21dae659c5940925795d72d5d562cfa138cc75badaa661a18f5"]
+
+
 def test_audit_json_outputs_are_byte_identical(tmp_path, capsys):
     outputs = []
     for run_dir in ("a", "b"):
@@ -158,11 +184,12 @@ m4,2,1,0,2,2,2
 m5,2,1,2,2,1,2
 m6,1,0,1,1,0,2
 """
-# size 3 is sampled (C(6, 3) = 20 > 12); the ks are not sorted
+# sizes 2 and 3 are sampled (C(6, 2) = 15 and C(6, 3) = 20 > 12); the ks are not sorted
 TIED_ARGS = ["--method", "average_rank", "--sizes", "2,3,6", "--budget", "12",
              "--seed", "5", "--ks", "3,1"]
-# The curve of TIED_ARGS, recorded before the per-subset listing moved to audit_subsets.csv
-TIED_CURVE = "size,k,unique,total\n2,3,12,15\n2,1,9,15\n3,3,9,20\n3,1,5,20\n6,3,1,1\n6,1,1,1\n"
+# The curve of TIED_ARGS.  Its sampled rows were recorded when subsets were
+# first drawn as sorted lexicographic ranks; size 6 predates that.
+TIED_CURVE = "size,k,unique,total\n2,3,11,15\n2,1,8,15\n3,3,9,20\n3,1,5,20\n6,3,1,1\n6,1,1,1\n"
 
 
 @pytest.fixture
@@ -769,6 +796,7 @@ def test_top_level_help_and_unknown_command_see_every_subcommand(capsys):
     ({"ks": [1.9]}, "'ks'"),
     ({"seed": True}, "'seed'"),
     ({"sampling_budget": 2.5}, "'sampling_budget'"),
+    ({"sampling_budget": True}, "'sampling_budget'"),
     ({"subset_sizes": [True]}, "'subset_sizes'"),
     ({"aggregation": {"groups": {"image": ["x"]}}}, "'groups'"),
     ({"aggregation": {"groups": {"image": None}}}, "'groups'"),
@@ -917,6 +945,25 @@ def test_exit_code_2_for_json_matrix_ids_not_arrays(doc, key, tmp_path, capsys):
     assert "input error" in err and key in err
 
 
+def test_exit_code_2_for_non_integer_budget_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--matrix", MATRIX, "--budget", "2.5"])
+    assert exc.value.code == 2
+    assert "--budget: invalid int value: '2.5'" in capsys.readouterr().err
+
+
+def test_exit_code_2_for_subset_count_past_int64(tmp_path, capsys):
+    # C(70, 35) > 2**63: the subsets cannot be ranked in int64, sampled or not
+    wide = tmp_path / "wide.csv"
+    wide.write_text("model," + ",".join(f"t{j}" for j in range(70)) + "\n" + "".join(
+        f"m{i}," + ",".join(str((i * j) % 7) for j in range(70)) + "\n" for i in range(5)))
+    code, stdout, err = run(capsys, "audit", "--matrix", str(wide), "--sizes", "35",
+                            "--budget", "50")
+    assert code == 2 and stdout == ""
+    assert f"C(70, 35) = {comb(70, 35)} subsets of size 35" in err
+    assert "2**63" in err and "Traceback" not in err
+
+
 def test_exit_code_2_for_bad_cell(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("model,t1\na,xyz\n")
@@ -1050,8 +1097,9 @@ GROUPS = {"text": "g1", "retrieval": "g1", "listops": "g1", "image": "g1", "path
 # Two runs of one command that differ in one option: (command, common argv,
 # first run's extra argv or config, second run's).
 PROVENANCE_CASES = {
+    # C(5, 2) = 10: budget 3 samples, budget 10 is exhaustive
     "report-budget": ("report", ["--matrix", "{six}", "--sizes", "2", "--ks", "1"],
-                      ["--budget", "3"], ["--budget", "4"]),
+                      ["--budget", "3"], ["--budget", "10"]),
     "aggregate-topk": ("aggregate", ["--matrix", MATRIX], ["--topk", "1"], ["--topk", "2"]),
     "corr-bin-width": ("corr", ["--matrix", MATRIX, "--method", "robust_average_rank"],
                        ["--bin-width", "1"], ["--bin-width", "20"]),

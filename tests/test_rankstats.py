@@ -373,6 +373,94 @@ def test_audit_monotone_in_k():
         assert counts == sorted(counts)
 
 
+# -- subset ranks -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (6, 1), (5, 2), (7, 3), (8, 8), (14, 4),
+                                     (20, 10), (70, 68)])
+def test_unrank_lists_every_subset_as_combinations_does(n, size):
+    rows = rankstats._unrank(np.arange(comb(n, size)), n, size)
+    assert rows.tolist() == [list(c) for c in combinations(range(n), size)]
+
+
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.lists(st.integers(0, 2**62), max_size=20))))
+def test_unrank_gives_the_row_of_each_rank(case):
+    n, size, draws = case
+    every = list(combinations(range(n), size))
+    ranks = [d % len(every) for d in draws]
+    rows = rankstats._unrank(np.array(ranks, dtype=np.int64), n, size)
+    assert rows.shape == (len(ranks), size)
+    assert rows.tolist() == [list(every[r]) for r in ranks]
+
+
+def test_unrank_reaches_both_ends_of_the_widest_int64_listing():
+    # C(66, 33) is the largest C(n, n // 2) below 2**63; C(67, 33) is past it
+    total = comb(66, 33)
+    assert total < 2**63 <= comb(67, 33)
+    rows = rankstats._unrank(np.array([0, 1, total - 1]), 66, 33)
+    assert rows.tolist() == [list(range(33)), list(range(32)) + [33], list(range(33, 66))]
+
+
+def sampled_ranks(monkeypatch, m, size, budget, seed):
+    """The ranks an audit unranks, and the audit."""
+    seen = []
+    unrank = rankstats._unrank
+
+    def recording(ranks, n, s):
+        seen.append(ranks)
+        return unrank(ranks, n, s)
+
+    monkeypatch.setattr(rankstats, "_unrank", recording)
+    result = unique_topk_audit(m, AggregationSpec("arithmetic_mean"), size, 2,
+                               sampling_budget=budget, seed=seed)
+    return seen[0], result
+
+
+def test_sampled_ranks_are_distinct_sorted_and_seeded(monkeypatch):
+    m = matrix(np.random.default_rng(26).uniform(0, 1, size=(5, 12)).tolist())
+    total = comb(12, 6)
+    ranks, result = sampled_ranks(monkeypatch, m, 6, 300, seed=4)
+    assert not result.exact and result.evaluated == len(ranks) == 300
+    assert ranks.dtype == np.int64 and 0 <= ranks[0] and ranks[-1] < total
+    assert (np.diff(ranks) > 0).all()
+    every = list(combinations(m.task_ids, 6))
+    assert list(result.per_subset_topk) == [every[r] for r in ranks.tolist()]
+    again, _ = sampled_ranks(monkeypatch, m, 6, 300, seed=4)
+    other, _ = sampled_ranks(monkeypatch, m, 6, 300, seed=5)
+    assert np.array_equal(ranks, again) and not np.array_equal(ranks, other)
+
+
+def test_budget_one_below_the_total_leaves_out_one_subset():
+    m = matrix(np.random.default_rng(27).uniform(0, 1, size=(4, 10)).tolist())
+    spec = AggregationSpec("arithmetic_mean")
+    total = comb(10, 5)
+    exhaustive = unique_topk_audit(m, spec, 5, 2)
+    sampled = unique_topk_audit(m, spec, 5, 2, sampling_budget=total - 1, seed=1)
+    assert exhaustive.exact and not sampled.exact
+    every = list(exhaustive.per_subset_topk)
+    rows = list(sampled.per_subset_topk)
+    kept = set(rows)
+    assert len(kept) == len(rows) == total - 1
+    assert rows == [subset for subset in every if subset in kept]
+    assert all(sampled.per_subset_topk[r] == exhaustive.per_subset_topk[r] for r in rows)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "3", None, 3.0])
+def test_audit_rejects_a_budget_that_is_not_an_int(budget):
+    m = matrix([[1, 2, 3], [3, 2, 1]])
+    with pytest.raises(ConfigError, match="sampling_budget must be an int"):
+        unique_topk_audit(m, AggregationSpec("arithmetic_mean"), 2, 1, sampling_budget=budget)
+
+
+def test_audit_rejects_a_subset_count_past_int64():
+    m = matrix([[float(j % 3) for j in range(70)], [1.0] * 70])
+    spec = AggregationSpec("arithmetic_mean")
+    with pytest.raises(ConfigError, match=r"C\(70, 35\) = 112186277816662845432 subsets"):
+        unique_topk_audit(m, spec, 35, 1, sampling_budget=50)
+    assert unique_topk_audit(m, spec, 68, 1, sampling_budget=50).evaluated == 50
+
+
 # -- tau profile ------------------------------------------------------------------------
 
 
