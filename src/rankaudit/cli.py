@@ -31,6 +31,7 @@ from .rankstats import (
     DEFAULT_SAMPLING_BUDGET,
     SubsetAuditResult,
     _audit_rows,
+    _subset_total,
     aggregator_agreement,
     subset_tau_profile,
     unique_topk_audit,
@@ -229,7 +230,7 @@ def _prepare(args: argparse.Namespace, title: str) -> tuple[AuditConfig, ScoreMa
 
 def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text: str,
           csv_name: str | None = None, extra: Mapping[str, Any] | None = None,
-          listing: tuple[str, Sequence[str], Iterable[Sequence[Sequence[Any]]]] | None = None,
+          listing: tuple[str, Sequence[str], Iterable[Iterable[Sequence[Any]]]] | None = None,
           ) -> None:
     """The one output writer: render each needed format once, write it to stdout and files.
 
@@ -268,10 +269,13 @@ def _audit_curve(m: ScoreMatrix, cfg: AuditConfig,
                  report: Report) -> tuple[list[list[SubsetAuditResult]], str]:
     """Run the sizes x ks audits and add their unique-count table to `report`.
 
-    Each size is scored once, at the largest k; the other ks are cut from
-    its codes.  Returns the results, one list in ks order per size, and
-    their `size,k,unique,total` CSV.
+    Every size is checked before any is scored.  Each size is scored
+    once, at the largest k; the other ks are cut from its codes.  Returns
+    the results, one list in ks order per size, and their
+    `size,k,unique,total` CSV.
     """
+    for size in cfg.subset_sizes:
+        _subset_total(m.n_tasks, size)
     audits = [unique_topk_audit(m, cfg.aggregation, size, max(cfg.ks),
                                 sampling_budget=cfg.sampling_budget, seed=cfg.seed)
               for size in cfg.subset_sizes]

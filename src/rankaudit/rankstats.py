@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from math import comb
 
 import numpy as np
@@ -33,7 +35,7 @@ __all__ = [
 
 DEFAULT_SAMPLING_BUDGET = 10**6
 _CHUNK = 256  # subsets scored per numpy pass; bounds the kernels' working memory
-_ROWS_CHUNK = 4096  # rows per chunk of the per-subset listing
+_ROWS_CHUNK = 1024  # subsets per chunk of the per-subset listing; bounds its memory
 
 
 class _CodedTopK(Mapping):
@@ -71,19 +73,19 @@ class _CodedTopK(Mapping):
             self._rows = {subset: r for r, subset in enumerate(self)}
         return self.decode(self.codes[self._rows[key]])
 
+    @cached_property
+    def _by_id(self) -> np.ndarray:
+        return np.array(sorted(range(len(self.model_ids)), key=self.model_ids.__getitem__),
+                        dtype=np.intp)
+
     def decode(self, code: np.ndarray) -> TopK:
         """The TopK that one row of codes stands for."""
-        n = len(self.model_ids)
-        groups: list[list[str]] = []
-        for value in code.tolist():
-            if value < 0:
-                break
-            group, model = divmod(value, n)
-            if group == len(groups):
-                groups.append([])
-            groups[group].append(self.model_ids[model])
-        placed = sum(len(g) for g in groups)
-        return TopK(self.k, tuple(frozenset(g) for g in groups), boundary_tied=placed > self.k)
+        group, model, valid = (a[0] for a in _split(code[None, :], self._by_id))
+        group, model = group[valid].tolist(), model[valid].tolist()
+        groups: list[list[str]] = [[] for _ in range(group[-1] + 1)]
+        for g, i in zip(group, model):
+            groups[g].append(self.model_ids[i])
+        return TopK(self.k, tuple(map(frozenset, groups)), boundary_tied=len(model) > self.k)
 
     def unique(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct code rows, and per subset the index of its row among them."""
@@ -101,6 +103,25 @@ class _CodedTopK(Mapping):
         """The same subsets' Top-k for k <= self.k, cut from these codes."""
         return _CodedTopK(self.model_ids, self.task_ids, self.subsets,
                           _top(self.codes, len(self.model_ids), k), k)
+
+
+def _split(codes: np.ndarray, by_id: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group ids, model indices and valid mask of a block of code rows.
+
+    `by_id` lists the model indices in the order of their ids, the order
+    `sorted` gives.  Inside a tie group the models follow that order: each
+    row is sorted once by group * n + the rank of the model's id, with
+    padding last, where it is not valid.
+    """
+    n = len(by_id)
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_id] = np.arange(n)
+    codes = codes.astype(np.intp)
+    model = codes % n  # n - 1 on padding, which the key overrides
+    key = np.where(codes < 0, n * n, codes - model + rank[model])
+    key.sort(axis=1)
+    group, place = np.divmod(key, n)
+    return group, by_id[place], key < n * n
 
 
 def _top(codes: np.ndarray, n_models: int, k: int) -> np.ndarray:
@@ -166,6 +187,21 @@ class SubsetAuditResult:
 
 def _result(size: int, total: int, exact: bool, coded: _CodedTopK) -> SubsetAuditResult:
     return SubsetAuditResult(size, coded.k, len(coded.unique()[0]), total, coded, exact)
+
+
+def _subset_total(n_tasks: int, size: int) -> int:
+    """C(n_tasks, size), after checking that an audit can rank subsets of this size.
+
+    The size must be in [1, n_tasks], and the count below 2**63, because
+    subsets are unranked from int64 ranks.
+    """
+    if not 1 <= size <= n_tasks:
+        raise ConfigError(f"subset size must be in [1, {n_tasks}], got {size}")
+    total = comb(n_tasks, size)
+    if total >= 2**63:
+        raise ConfigError(f"C({n_tasks}, {size}) = {total} subsets of size {size}: "
+                          "an audit ranks its subsets in int64, so C(T, size) must be below 2**63")
+    return total
 
 
 def _unrank(ranks: np.ndarray, n: int, size: int) -> np.ndarray:
@@ -277,12 +313,7 @@ def unique_topk_audit(
         raise ConfigError(f"sampling_budget must be an int, got {sampling_budget!r}")
     if sampling_budget < 1:
         raise ConfigError(f"sampling budget must be >= 1, got {sampling_budget}")
-    total = comb(m.n_tasks, size) if 1 <= size <= m.n_tasks else 0
-    if total == 0:
-        raise ConfigError(f"subset size must be in [1, {m.n_tasks}], got {size}")
-    if total >= 2**63:
-        raise ConfigError(f"C({m.n_tasks}, {size}) = {total} subsets of size {size}: "
-                          "an audit ranks its subsets in int64, so C(T, size) must be below 2**63")
+    total = _subset_total(m.n_tasks, size)
     exact = total <= sampling_budget
     ranks = np.arange(total) if exact else _sampled_subsets(total, size, sampling_budget, seed)
     subsets = _unrank(ranks, m.n_tasks, size)
@@ -365,31 +396,34 @@ def audit_to_dict(result: SubsetAuditResult) -> dict:
     }
 
 
-def _audit_rows(results: Sequence[SubsetAuditResult]) -> Iterator[list[tuple]]:
+def _audit_rows(results: Sequence[SubsetAuditResult]) -> Iterator[Iterator[tuple]]:
     """The per-subset listing of `for_k` results of one audit, in chunks of rows.
 
     A row is (size, k, tasks, topk, boundary_tied).  tasks joins the task
     ids with "+"; topk joins the tie groups, best first, with ";" and the
     sorted model ids of a group with "|".  Rows run over the audit's
     subsets in order and, for each subset, over `results` in order.  Each
-    distinct Top-k is rendered once.
+    chunk renders _ROWS_CHUNK subsets straight from their rows of codes, so
+    its memory is bounded by the chunk: a cell is one join of strings
+    picked by fancy indexing from an object array.
     """
     coded = [r.per_subset_topk for r in results]
     first = coded[0]
-    per_k = []
-    for c in coded:
-        rows, inverse = c.unique()
-        cells = [(";".join("|".join(sorted(g)) for g in tk.sequence), tk.boundary_tied)
-                 for tk in map(c.decode, rows)]
-        per_k.append((c.k, cells, inverse))
     size = results[0].subset_size
+    tasks = np.array(first.task_ids, dtype=object)
+    # pieces[sep, model]: the model's id after no separator, "|" (same tie
+    # group) or ";" (next group); model n is the padding, ""
+    pieces = np.array([[sep + mid for mid in (*first.model_ids, "")] for sep in ("", "|", ";")],
+                      dtype=object)
     for start in range(0, len(first), _ROWS_CHUNK):
         stop = start + _ROWS_CHUNK
-        picked = [(k, [cells[u] for u in inverse[start:stop].tolist()])
-                  for k, cells, inverse in per_k]
-        chunk = []
-        for i, row in enumerate(first.subsets[start:stop].tolist()):
-            tasks = "+".join(first.task_ids[j] for j in row)
-            for k, cells in picked:
-                chunk.append((size, k, tasks, *cells[i]))
-        yield chunk
+        task_cells = list(map("+".join, tasks[first.subsets[start:stop]].tolist()))
+        columns = []
+        for c in coded:
+            group, model, valid = _split(c.codes[start:stop], first._by_id)
+            sep = np.zeros(group.shape, dtype=np.intp)
+            sep[:, 1:] = np.where(valid[:, 1:], 1 + (group[:, 1:] != group[:, :-1]), 0)
+            cells = map("".join, pieces[sep, np.where(valid, model, -1)].tolist())
+            columns.append(zip(repeat(size), repeat(c.k), task_cells, cells,
+                               (valid.sum(axis=1) > c.k).tolist()))
+        yield chain.from_iterable(zip(*columns))

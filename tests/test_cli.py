@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import rankaudit.cli
+import rankaudit.rankstats
 import rankaudit.report
 from rankaudit.aggregate import AggregationSpec
 from rankaudit.cli import main
@@ -962,6 +963,25 @@ def test_exit_code_2_for_subset_count_past_int64(tmp_path, capsys):
     assert code == 2 and stdout == ""
     assert f"C(70, 35) = {comb(70, 35)} subsets of size 35" in err
     assert "2**63" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, n_tasks, sizes, message", [
+    ("audit", 5, ["--sizes", "1,99"], "subset size must be in [1, 5], got 99"),
+    # every size 1..70 by default; C(70, 26) is the first count past 2**63
+    ("report", 70, [], f"C(70, 26) = {comb(70, 26)} subsets of size 26"),
+])
+def test_exit_code_2_for_a_bad_size_before_any_size_is_scored(command, n_tasks, sizes, message,
+                                                              tmp_path, capsys, monkeypatch):
+    def scoring(*args):
+        raise AssertionError("a subset size was scored")
+
+    monkeypatch.setattr(rankaudit.rankstats, "_subset_codes", scoring)
+    path = tmp_path / "m.csv"
+    path.write_text("model," + ",".join(f"t{j}" for j in range(n_tasks)) + "\n" + "".join(
+        f"m{i}," + ",".join(str((i * j) % 7) for j in range(n_tasks)) + "\n" for i in range(5)))
+    code, stdout, err = run(capsys, command, "--matrix", str(path), *sizes)
+    assert code == 2 and stdout == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_exit_code_2_for_bad_cell(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import io
 import json
+import tracemalloc
 import types
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -12,6 +14,7 @@ import rankaudit
 from rankaudit import fixtures, rankstats
 from rankaudit.aggregate import AggregationSpec, aggregate
 from rankaudit.errors import ConfigError, SchemaError, UndefinedCorrelationError
+from rankaudit.report import write_csv
 from rankaudit.ranking import (
     Ranking,
     enumerate_subsets,
@@ -459,6 +462,97 @@ def test_audit_rejects_a_subset_count_past_int64():
     with pytest.raises(ConfigError, match=r"C\(70, 35\) = 112186277816662845432 subsets"):
         unique_topk_audit(m, spec, 35, 1, sampling_budget=50)
     assert unique_topk_audit(m, spec, 68, 1, sampling_budget=50).evaluated == 50
+
+
+# -- per-subset listing ------------------------------------------------------------------
+
+LISTING_HEADER = ["size", "k", "tasks", "topk", "boundary_tied"]
+
+
+def reference_listing(results):
+    """The listing as it was rendered from decoded TopKs: one row per subset and k."""
+    coded = [r.per_subset_topk for r in results]
+    rows = []
+    for r, subset in enumerate(coded[0]):
+        for c in coded:
+            tk = c.decode(c.codes[r])
+            rows.append((results[0].subset_size, c.k, "+".join(subset),
+                         ";".join("|".join(sorted(g)) for g in tk.sequence), tk.boundary_tied))
+    return rows
+
+
+def csv_bytes(rows):
+    buf = io.StringIO()
+    write_csv(buf, LISTING_HEADER, [rows])
+    return buf.getvalue().encode()
+
+
+# Ids the csv module must quote (",", '"', "\n", "\r"), the listing's own
+# separators, spaces, non-ASCII text, and pairs whose code-point order differs
+# from their case-folded order ("B" < "a" < "é").
+ID_CHARS = 'aBbé,"\n\r |;+Zß\U0001f600'
+IDS = st.one_of(st.sampled_from(["B", "a", "é", "e", "E", "a,b", 'say "hi"', "two\nlines",
+                                 "cr\r", " x ", "Ω"]),
+                st.text(alphabet=ID_CHARS, max_size=3))
+
+
+@st.composite
+def listing_cases(draw):
+    n_models, n_tasks = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    model_ids = draw(st.lists(IDS, min_size=n_models, max_size=n_models, unique=True))
+    task_ids = draw(st.lists(IDS, min_size=n_tasks, max_size=n_tasks, unique=True))
+    # scores in {0, 1, 2}: tie groups are common, and straddle place k
+    scores = draw(st.lists(st.lists(st.integers(0, 2), min_size=n_tasks, max_size=n_tasks),
+                           min_size=n_models, max_size=n_models))
+    size = draw(st.integers(1, n_tasks))
+    # k up to n_models + 2, so that n < k + 1 is covered
+    ks = draw(st.lists(st.integers(1, n_models + 2), min_size=1, max_size=3, unique=True))
+    return matrix(scores, model_ids, task_ids), size, ks
+
+
+@pytest.mark.parametrize("method", ["arithmetic_mean", "average_rank"])
+@given(case=listing_cases())
+def test_listing_matches_the_decoded_renderer(method, case):
+    m, size, ks = case
+    spec = AggregationSpec(method)
+    audit = unique_topk_audit(m, spec, size, max(ks))
+    results = [audit.for_k(k) for k in ks]
+    for result in results:
+        coded = result.per_subset_topk
+        for subset, code in zip(coded, coded.codes):
+            assert coded.decode(code) == top_k(aggregate(m, subset, spec), result.k)
+    expected = reference_listing(results)
+    listed = list(chain.from_iterable(rankstats._audit_rows(results)))
+    assert listed == expected
+    assert csv_bytes(listed) == csv_bytes(expected)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_listing_memory_is_bounded_by_the_chunk():
+    # 12,870 subsets x 4 ks = 51,480 rows.  Holding every row took 8.3 MB
+    # (tracemalloc, Python 3.11, numpy 2.4); writing them chunk by chunk
+    # peaked at 1.2 MB, as each chunk holds _ROWS_CHUNK = 1024 subsets.
+    s = np.random.default_rng(0).random((50, 16))
+    m = matrix(s.tolist(), [f"m{i}" for i in range(50)], [f"t{j}" for j in range(16)])
+    audit = unique_topk_audit(m, AggregationSpec("arithmetic_mean"), 8, 10)
+    results = [audit.for_k(k) for k in (1, 3, 5, 10)]
+    assert audit.evaluated == comb(16, 8) == 12870
+    tracemalloc.start()
+    try:
+        write_csv(_Discard(), LISTING_HEADER, rankstats._audit_rows(results))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rows = list(chain.from_iterable(rankstats._audit_rows(results)))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4 * 12870
+    assert peak < 2 * 10**6
+    assert 4 * peak < held
 
 
 # -- tau profile ------------------------------------------------------------------------
