@@ -285,6 +285,14 @@ SCHEMES: dict[str, Callable[[ScoreMatrix, Sequence[str] | None, AggregationSpec]
 METHODS = tuple(SCHEMES)
 
 
+def check_spec_tasks(m: ScoreMatrix, spec: AggregationSpec) -> None:
+    """A ConfigError naming the first task of spec's weights or groups that m lacks."""
+    for name, tasks in (("weights", spec.weights), ("groups", spec.group_map)):
+        for t in tasks or {}:
+            if t not in m.metrics:
+                raise ConfigError(f"aggregation {name} name task {t!r}, which the matrix lacks")
+
+
 def aggregate(
     m: ScoreMatrix,
     subset: Sequence[str] | None = None,
@@ -293,9 +301,11 @@ def aggregate(
     """Dispatch to the configured scheme and return a Ranking.
 
     Rank-valued aggregates are converted with lower-is-better semantics
-    so rank 1 is best everywhere.
+    so rank 1 is best everywhere.  Weights or groups for a task the matrix
+    lacks are a ConfigError.
     """
     spec = spec or AggregationSpec()
+    check_spec_tasks(m, spec)
     result = SCHEMES[spec.method](m, subset, spec)
     if isinstance(result, Ranking):
         return result
@@ -305,18 +315,12 @@ def aggregate(
 # -- batched subset kernels -------------------------------------------------
 #
 # A kernel factory takes the oriented dense array x (models x tasks, from
-# scorebank.oriented_array), the matrix and the spec, and returns a function
-# from a (subsets x size) array of task indices to (keys, tol).  keys is
-# (subsets x models) with higher meaning better.  With tol None the keys order
-# and tie the models exactly as `aggregate` does.  A float kernel returns a
-# per-subset tol instead: keys more than tol apart are certified to be ordered
-# the same way by `aggregate`; closer keys, exact ties included, are not, and
-# their subset must be settled on the scalar path.
+# scorebank.oriented_array), the matrix and the spec.  It returns a function
+# from a (subsets x size) array of task indices to (subsets x models) keys,
+# higher meaning better, that order and tie the models exactly as `aggregate`
+# does, or None for a matrix it cannot score that way.
 
-SubsetKeys = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
-
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+SubsetKeys = Callable[[np.ndarray], np.ndarray]
 
 
 def _indicator(idx: np.ndarray, n_tasks: int) -> np.ndarray:
@@ -326,30 +330,47 @@ def _indicator(idx: np.ndarray, n_tasks: int) -> np.ndarray:
     return ind
 
 
-def _mean_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys:
-    """Weighted sums; the scalar mean divides the same sums by a common total.
+def _exact_parts(a: np.ndarray, n_tasks: int) -> np.ndarray | None:
+    """a as two stacked slices whose sum is a, or None if two cannot hold it.
 
-    Both paths add the same rounded terms t = w * x.  fsum rounds their
-    exact sum E once; the indicator product K adds them (and exact zeros)
-    in some order, so |K - E| <= T u M, with T tasks, u = eps / 2 and M an
-    upper bound on sum |t| over the subset for every model.  The scalar
-    value fl(fl(E) / W) keeps two models strictly ordered when their E
-    differ by more than 3 u (|E_a| + |E_b|) <= 3 eps M, plus W tiny when
-    the quotient is subnormal.  tol = (2T + 8) eps M + 4 W tiny covers the
-    sum of these with a margin of two.
+    Each slice is cut toward zero on a power-of-two grid 53 - L bits below
+    the largest magnitude left of a, L = ceil(log2(n_tasks + 1)) (ExtractScalar;
+    Rump, Ogita and Oishi, "Accurate Floating-Point Summation, Part I", 2008).
+    Any n_tasks cells of a slice then add up exactly in any order, and below
+    the float range, as every |a| must be below 2**(1024 - L).
+    """
+    room = n_tasks.bit_length()
+    if not (np.abs(a) < math.ldexp(1.0, 1024 - room)).all():
+        return None
+    parts = []
+    for _ in range(2):
+        unit = math.ldexp(1.0, max(math.frexp(float(np.abs(a).max()))[1] - 53 + room, -1074))
+        parts.append(np.trunc(a / unit) * unit)
+        a = a - parts[-1]
+    return None if a.any() else np.stack(parts)
+
+
+def _mean_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys | None:
+    """Weighted means fsum(w * x) / fsum(w), bit for bit the scalar path's.
+
+    The terms w * x and the weights are each cut into two `_exact_parts`,
+    whose indicator products are exact; adding the two sums rounds once, to
+    nearest even, as fsum does.  None if the parts cannot hold them.
     """
     w = np.array(_resolve_weights(m, m.task_ids, spec.weights))
-    # An overflowed term makes keys non-finite (0 * inf is NaN), and the
-    # audit settles such subsets on the scalar path.
     with np.errstate(over="ignore"):
         terms = x * w
-    col_mag = np.abs(terms).max(axis=0)
     n_tasks = x.shape[1]
+    parts = [_exact_parts(a, n_tasks) for a in (terms, w[None, :])]
+    if any(p is None for p in parts):
+        return None
+    # column p * (n_models + 1) + i: part p of model i's terms, or of the weights
+    table = np.concatenate(parts, axis=1).reshape(-1, n_tasks).T
 
-    def keys(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ind = _indicator(idx, n_tasks)
-        tol = (2 * n_tasks + 8) * _EPS * (ind @ col_mag) + 4 * _TINY * (ind @ w)
-        return ind @ terms.T, tol
+    def keys(idx: np.ndarray) -> np.ndarray:
+        sliced = (_indicator(idx, n_tasks) @ table).reshape(len(idx), 2, -1)
+        sums = sliced[:, 0] + sliced[:, 1]
+        return sums[:, :-1] / sums[:, -1:]
 
     return keys
 
@@ -366,8 +387,8 @@ def _rank_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> Subset
         x = _bins(x, spec.bin_width, m.model_ids, m.task_ids)
     twice = 2 * np.array([fractional_ranks(col, descending=True) for col in x.T.tolist()])
 
-    def keys(idx: np.ndarray) -> tuple[np.ndarray, None]:
-        return -(_indicator(idx, x.shape[1]) @ twice), None
+    def keys(idx: np.ndarray) -> np.ndarray:
+        return -(_indicator(idx, x.shape[1]) @ twice)
 
     return keys
 
@@ -375,18 +396,18 @@ def _rank_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> Subset
 def _median_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys:
     """Per-model median of the subset's columns, by the scalar path's formula."""
 
-    def keys(idx: np.ndarray) -> tuple[np.ndarray, None]:
+    def keys(idx: np.ndarray) -> np.ndarray:
         s = np.sort(x[:, idx], axis=2)  # models x subsets x size
         mid = idx.shape[1] // 2
         med = s[..., mid] if idx.shape[1] % 2 else (s[..., mid - 1] + s[..., mid]) / 2.0
-        return med.T, None
+        return med.T
 
     return keys
 
 
 # Schemes without a kernel (geometric_mean, macro_average,
 # elimination_ranking) are audited on the scalar path, one subset at a time.
-BATCHED: dict[str, Callable[[np.ndarray, ScoreMatrix, AggregationSpec], SubsetKeys]] = {
+BATCHED: dict[str, Callable[[np.ndarray, ScoreMatrix, AggregationSpec], SubsetKeys | None]] = {
     "arithmetic_mean": _mean_kernel,
     "median": _median_kernel,
     "average_rank": _rank_kernel,

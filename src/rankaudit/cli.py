@@ -56,6 +56,7 @@ from .util import (
     number,
     parse_json,
     record,
+    single_line,
     table,
     text,
 )
@@ -388,6 +389,7 @@ def _load_replicates(path: str) -> tuple[dict[str, list[float]], dict[str, list[
     datasets = parse_json(data, where, _REPLICATES)["datasets"]
     if not datasets:
         raise SchemaError(f"{where}: contains no datasets")
+    single_line(datasets, f"{where}: dataset")
     return ({d: sides["A"] for d, sides in datasets.items()},
             {d: sides["B"] for d, sides in datasets.items()}, data)
 

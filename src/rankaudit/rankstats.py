@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .aggregate import BATCHED, AggregationSpec, aggregate
+from .aggregate import BATCHED, AggregationSpec, aggregate, check_spec_tasks
 from .errors import ConfigError, UndefinedCorrelationError
 from .ranking import TopK, kendall_tau_b, top_k
 from .scorebank import ScoreMatrix, oriented_array
@@ -238,44 +238,33 @@ def _subset_codes(
 ) -> np.ndarray:
     """Top-k codes (see `_CodedTopK`) of the subsets, rows of task indices.
 
-    With a kernel for `spec`, the matrix is read once by `oriented_array`
-    and each chunk of subsets is scored in one kernel call.  A subset is
-    settled by the scalar `aggregate` instead, with minus its ranks as
-    keys, when the scheme has no kernel, when it touches a missing cell,
-    where that call raises the scalar path's MissingScoreError, when a
-    kernel key is not finite, where an overflow would tie models and the
-    scalar path raises its DomainError, or when a float kernel cannot
-    certify the order of its top min(k + 1, n) keys.  Each row's models
-    are sorted by key and equal keys form a tie group: certified keys are
-    strictly ordered, so this gives the scalar path's Top-k.
+    Each chunk of subsets is scored in one call of the kernel for `spec`,
+    whose keys order and tie the models exactly as `aggregate` does.  A
+    subset is settled by the scalar `aggregate` instead, with minus its
+    ranks as keys, when the scheme has no kernel or its factory declines the
+    matrix, when it touches a missing cell, where that call raises the
+    scalar path's MissingScoreError, or when a kernel key is not finite,
+    where an overflow would tie models and the scalar path raises its
+    DomainError.  Each row's models are then sorted once by key, stably, and
+    equal keys form a tie group.
     """
     n = m.n_models
-    factory = BATCHED.get(spec.method)
-    if factory is not None:
-        x, missing = oriented_array(m)
-        subset_keys = factory(x, m, spec)
-        col_missing = missing.any(axis=0)
-    n_cert = min(k + 1, n)
+    x, missing = oriented_array(m)
+    col_missing = missing.any(axis=0)
+    factory = BATCHED.get(spec.method, lambda *_: None)
+    # Without a kernel every key is NaN, so every subset takes the scalar path.
+    subset_keys = factory(x, m, spec) or (lambda idx: np.full((len(idx), n), np.nan))
     dtype = np.min_scalar_type(-n * n)
     chunks = []
     for start in range(0, len(subsets), _CHUNK):
         idx = subsets[start:start + _CHUNK]
-        keys = np.empty((len(idx), n))
-        order = np.empty(keys.shape, dtype=np.intp)
-        scalar = np.ones(len(idx), dtype=bool)
-        if factory is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                keys, tol = subset_keys(idx)
-                order = np.argsort(-keys, axis=1, kind="stable")
-                scalar = col_missing[idx].any(axis=1) | ~np.isfinite(keys).all(axis=1)
-                if tol is not None:
-                    top = np.take_along_axis(keys, order[:, :n_cert], axis=1)
-                    scalar |= ~(top[:, :-1] - top[:, 1:] > tol[:, None]).all(axis=1)
-        rows = np.flatnonzero(scalar)
-        for row in rows.tolist():
+        with np.errstate(over="ignore"):  # a median kernel (a + b) / 2 of huge scores
+            keys = subset_keys(idx)
+        scalar = col_missing[idx].any(axis=1) | ~np.isfinite(keys).all(axis=1)
+        for row in np.flatnonzero(scalar).tolist():
             entries = aggregate(m, tuple(m.task_ids[j] for j in idx[row].tolist()), spec).entries
             keys[row] = [-entries[mid] for mid in m.model_ids]
-        order[rows] = np.argsort(-keys[rows], axis=1, kind="stable")
+        order = np.argsort(-keys, axis=1, kind="stable")
         ranked = np.take_along_axis(keys, order, axis=1)
         group = np.zeros_like(order)
         np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=group[:, 1:])
@@ -299,13 +288,14 @@ def unique_topk_audit(
     Every subset is aggregated under `spec` once, its Top-k encoded as an
     integer row (tied positions compared as sets), and distinct rows
     counted.  Subsets are scored in batches where the scheme has a kernel
-    in `aggregate.BATCHED`, with the same result as `aggregate` per
-    subset.  Enumeration is exhaustive unless C(T, size) exceeds
-    `sampling_budget`, in which case a seeded uniform sample without
-    replacement is used and the result is flagged as sampled.  Either way
-    the rows are unranked from int64 lexicographic ranks, so C(T, size)
-    must be below 2**63.  The result's `for_k` gives every smaller k from
-    the same codes.
+    in `aggregate.BATCHED`, which orders and ties the models of every
+    subset exactly as `aggregate` does.  Enumeration is exhaustive unless
+    C(T, size) exceeds `sampling_budget`, in which case a seeded uniform
+    sample without replacement is used and the result is flagged as
+    sampled.  Either way the rows are unranked from int64 lexicographic
+    ranks, so C(T, size) must be below 2**63.  The result's `for_k` gives
+    every smaller k from the same codes.  Weights or groups for a task the
+    matrix lacks are a ConfigError.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -313,6 +303,7 @@ def unique_topk_audit(
         raise ConfigError(f"sampling_budget must be an int, got {sampling_budget!r}")
     if sampling_budget < 1:
         raise ConfigError(f"sampling budget must be >= 1, got {sampling_budget}")
+    check_spec_tasks(m, spec)
     total = _subset_total(m.n_tasks, size)
     exact = total <= sampling_budget
     ranks = np.arange(total) if exact else _sampled_subsets(total, size, sampling_budget, seed)

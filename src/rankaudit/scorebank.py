@@ -25,7 +25,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, MissingScoreError, ParseError, SchemaError
-from .util import array, number, parse_json, positive, record, table, text
+from .util import array, number, parse_json, positive, record, single_line, table, text
 
 HIGHER = "higher"
 LOWER = "lower"
@@ -300,12 +300,15 @@ def load_matrix(
     missing; metric metadata comes from the `metrics` argument (typically
     a parsed sidecar).  JSON: an object with "models", "tasks", "scores"
     (array of arrays, null = missing) and optional inline "metrics".
+    Either way a model or task id must not hold a line break.
     """
-    if format == "csv":
-        return _load_csv(_as_text(source, "matrix stream"), metrics)
-    if format == "json":
-        return _load_json(_as_text(source, "matrix stream"), metrics)
-    raise ConfigError(f"unknown matrix format {format!r}")
+    loaders = {"csv": _load_csv, "json": _load_json}
+    if format not in loaders:
+        raise ConfigError(f"unknown matrix format {format!r}")
+    m = loaders[format](_as_text(source, "matrix stream"), metrics)
+    single_line(m.model_ids, "model")
+    single_line(m.task_ids, "task")
+    return m
 
 
 def _load_csv(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatrix:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, ParseError, SchemaError
@@ -44,15 +45,28 @@ def checked_fsum(terms: Iterable[float], where: str) -> float:
     """Correctly rounded sum; a sum beyond the float range is a DomainError.
 
     That includes a term that already overflowed to inf: an infinite sum
-    would tie every model whose sum overflows.
+    would tie every model whose sum overflows.  `math.fsum` also raises
+    when a partial sum overflows, which depends on the order of the terms;
+    their exact sum, rounded once, decides instead.
     """
+    terms = list(terms)
     try:
-        total = math.fsum(terms)
+        try:
+            total = math.fsum(terms)
+        except OverflowError:
+            total = float(sum(map(Fraction, terms)))
     except (OverflowError, ValueError):
         total = math.inf
     if not math.isfinite(total):
         raise DomainError(f"sum overflows the float range: {where}")
     return total
+
+
+def single_line(ids: Iterable[str], what: str) -> None:
+    """A SchemaError naming the first id with a line break, which would split its CSV row."""
+    for i in ids:
+        if "\r" in i or "\n" in i:
+            raise SchemaError(f"{what} id {i!r} holds a line break, which would split a CSV row")
 
 
 def positive(value: float, name: str) -> float:

@@ -26,6 +26,7 @@ from rankaudit.aggregate import (
 )
 from rankaudit.errors import ConfigError, DomainError, MissingScoreError
 from rankaudit.ranking import rank_models
+from rankaudit.rankstats import unique_topk_audit
 from rankaudit.scorebank import HIGHER, LOWER, MetricSpec, ScoreMatrix, orient
 
 
@@ -343,6 +344,21 @@ def test_spec_validation():
             AggregationSpec(bin_width=bad)
         with pytest.raises(ConfigError, match="weight for task 't1' must be positive and finite"):
             AggregationSpec(weights={"t1": bad})
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("option, named", [({"weights": {"T1": 10.0}}, "weights name task 'T1'"),
+                                           ({"group_map": {"t1": "g", "x": "g"}},
+                                            "groups name task 'x'")])
+def test_weights_or_groups_for_a_task_the_matrix_lacks_are_rejected(method, option, named):
+    # Task ids are case-sensitive: a weight for "T1" on a matrix with "t1"
+    # used to leave t1 unweighted, silently.
+    m = matrix([[1.0, 2.0], [2.0, 1.0]])
+    spec = AggregationSpec(method, **{"group_map": {"t1": "g", "t2": "g"}, **option})
+    for call in (lambda: aggregate(m, None, spec), lambda: aggregate(m, ["t2"], spec),
+                 lambda: unique_topk_audit(m, spec, 1, 1)):
+        with pytest.raises(ConfigError, match=named):
+            call()
 
 
 # -- cross-method invariants ------------------------------------------------------

@@ -946,6 +946,58 @@ def test_exit_code_2_for_json_matrix_ids_not_arrays(doc, key, tmp_path, capsys):
     assert "input error" in err and key in err
 
 
+# "\r" in a field is written unquoted by csv.writer and splits the row when
+# the file is read back, so an id with a line break is refused at the input.
+@pytest.mark.parametrize("name, text, named", [
+    ("m.csv", 'model,t1,t2\n"a\rb",1,2\nc,2,1\n', "model id 'a\\rb'"),
+    ("m.csv", 'model,"t\n1",t2\na,1,2\nc,2,1\n', "task id 't\\n1'"),
+    ("m.json", json.dumps({"models": ["a\nb", "c"], "tasks": ["t1"], "scores": [[1], [2]]}),
+     "model id 'a\\nb'"),
+    ("m.json", json.dumps({"models": ["a", "c"], "tasks": ["t\r1"], "scores": [[1], [2]]}),
+     "task id 't\\r1'"),
+])
+def test_exit_code_2_for_a_matrix_id_with_a_line_break(name, text, named, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    code, _, err = run(capsys, "aggregate", "--matrix", str(path), "--format", "csv")
+    assert code == 2
+    assert "input error" in err and named in err
+
+
+def test_exit_code_2_for_a_dataset_id_with_a_line_break(tmp_path, capsys):
+    path = tmp_path / "replicates.json"
+    sides = {"A": [0.7, 0.71], "B": [0.8, 0.81]}
+    path.write_text(json.dumps({"datasets": {"d0": sides, "d\r1": sides}}))
+    code, _, err = run(capsys, "compare", "--replicates", str(path))
+    assert code == 2
+    assert "input error" in err and "dataset id 'd\\r1'" in err
+
+
+def test_ids_with_commas_and_quotes_stay_legal_and_quoted(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text('model,"t,1",t2\n"a,b",1,2\n"say ""hi""",2,1\n')
+    code, stdout, _ = run(capsys, "aggregate", "--matrix", str(path), "--format", "csv")
+    assert code == 0
+    assert '"say ""hi"""' in stdout
+    assert [row[1] for row in csv.reader(stdout.splitlines())][1:] == ["a,b", 'say "hi"']
+
+
+@pytest.mark.parametrize("command", ["audit", "corr", "aggregate", "report"])
+@pytest.mark.parametrize("aggregation, named", [
+    ({"method": "arithmetic_mean", "weights": {"T1": 10.0}}, "weights name task 'T1'"),
+    ({"method": "macro_average", "groups": {"t1": "g", "t2": "g", "t9": "h"}},
+     "groups name task 't9'"),
+])
+def test_exit_code_2_for_weights_or_groups_of_an_unknown_task(command, aggregation, named,
+                                                              tmp_path, capsys):
+    matrix, cfg = tmp_path / "m.csv", tmp_path / "cfg.json"
+    matrix.write_text("model,t1,t2\nA,1,0\nB,0,1\n")
+    cfg.write_text(json.dumps({"matrix": str(matrix), "aggregation": aggregation}))
+    code, _, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert "input error" in err and named in err
+
+
 def test_exit_code_2_for_non_integer_budget_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--matrix", MATRIX, "--budget", "2.5"])

@@ -1,16 +1,17 @@
 """Batched subset audits against the scalar `aggregate` reference.
 
-`unique_topk_audit` scores subsets with the batched kernels of
-`aggregate.BATCHED` and settles a subset on the scalar path only when it
-touches a missing cell or a float kernel cannot certify its order.  The
-oracle here is the scalar path for every subset: {s: top_k(aggregate(m, s,
+Every kernel of `aggregate.BATCHED` returns keys that order and tie the
+models exactly as `aggregate` does, so `unique_topk_audit` settles a
+subset on the scalar path only when it touches a missing cell, when a key
+is not finite, or when a kernel declines the whole matrix.  The oracle
+here is the scalar path for every subset: {s: top_k(aggregate(m, s,
 spec), k)}.  The matrices are built to tie: small integer scores,
 duplicated rows, tenths whose float sums depend on order, and cells moved
 one ulp with np.nextafter.
 """
 
 import importlib
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -19,12 +20,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rankaudit import rankstats
-from rankaudit.aggregate import BATCHED, METHODS, AggregationSpec, aggregate
+from rankaudit.aggregate import BATCHED, METHODS, AggregationSpec, aggregate, arithmetic_mean
 from rankaudit.cli import main
 from rankaudit.errors import ConfigError, DomainError, MissingScoreError
 from rankaudit.ranking import enumerate_subsets, top_k
 from rankaudit.rankstats import unique_topk_audit
-from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix, orient
+from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix, orient, oriented_array
 
 
 def build(rows, metrics=None):
@@ -96,7 +97,7 @@ def test_batched_audit_matches_scalar_oracle(method, data):
         assert sampled.per_subset_topk == oracle(m, spec, list(sampled.per_subset_topk), k)
 
 
-def test_near_ties_take_the_scalar_fallback(scalar_calls):
+def test_near_ties_stay_on_the_mean_kernel(scalar_calls):
     # m0 and m1 lead every subset: exactly tied without t0, one ulp apart with it.
     rows = np.full((5, 4), 0.1)
     rows[:2] = 0.9
@@ -107,23 +108,115 @@ def test_near_ties_take_the_scalar_fallback(scalar_calls):
     for size in (1, 2, 3):
         subsets = list(enumerate_subsets(m.task_ids, size))
         for k in (1, 2, 3):
-            scalar_calls.clear()
             result = unique_topk_audit(m, spec, size, k)
             assert result.per_subset_topk == oracle(m, spec, subsets, k)
-            assert scalar_calls == subsets
+    assert scalar_calls == []
 
 
-def test_separated_means_and_rank_kernels_stay_batched(scalar_calls):
+def test_separated_and_tied_scores_stay_batched(scalar_calls):
     rng = np.random.default_rng(3)
     m = build(rng.random((30, 8)), {"t2": MetricSpec(direction=LOWER)})
     tied = build(rng.integers(0, 5, size=(30, 8)))
     for method in sorted(BATCHED):
-        for matrix in ((m, tied) if method != "arithmetic_mean" else (m,)):
+        for matrix in (m, tied):
             spec = AggregationSpec(method, bin_width=2.0)
             result = unique_topk_audit(matrix, spec, 3, 5)
             assert result.per_subset_topk == oracle(matrix, spec, list(result.per_subset_topk), 5)
     assert scalar_calls == []
 
+
+@pytest.mark.parametrize("decimals", [0, 1, 2])
+def test_rounded_leaderboards_stay_on_the_mean_kernel(decimals, scalar_calls):
+    # Leaderboards report scores to 0-2 decimals; a mean audit of one scores
+    # every subset in the kernel, however many models tie.
+    rng = np.random.default_rng(8)
+    scores = np.clip(rng.uniform(40, 90, size=(50, 1)) + rng.normal(0, 8, size=(50, 16)), 0, 100)
+    m = build(scores.round(decimals), {"t5": MetricSpec(direction=LOWER)})
+    spec = AggregationSpec("arithmetic_mean", weights={"t0": 0.1, "t3": 7.25})
+    result = unique_topk_audit(m, spec, 8, 10)
+    assert scalar_calls == [] and result.evaluated == comb(16, 8)
+    subsets = list(result.per_subset_topk)[::101]
+    assert {s: result.per_subset_topk[s] for s in subsets} == oracle(m, spec, subsets, 10)
+
+
+MAX = np.finfo(float).max
+# Neighbours of the float range's ends, which the mean kernel declines, and
+# of 2**1021, which it takes for up to three tasks; and subnormals.  Their
+# sums overflow or need every bit of the slices.
+HUGE = [MAX, np.nextafter(MAX, 0), 1e308, 0.0, -MAX, -1.5e308,
+        np.nextafter(2.0**1021, 0), 1e307, -2e307]
+TINY = [5e-324, 1e-323, 2.5e-320, -5e-324, 1e-310, 0.0, 2.2250738585072014e-308,
+        np.nextafter(2.2250738585072014e-308, 0)]
+
+
+@st.composite
+def mean_cases(draw):
+    n_models, n_tasks = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    decimals = st.builds(lambda c, d: c / d, st.integers(-10_000, 10_000),
+                         st.sampled_from([1, 10, 100]))
+    cells = draw(st.sampled_from([decimals, st.sampled_from(HUGE), st.sampled_from(TINY),
+                                  st.one_of(decimals, st.sampled_from(HUGE + TINY))]))
+    rows = draw(st.lists(st.lists(cells, min_size=n_tasks, max_size=n_tasks),
+                         min_size=n_models, max_size=n_models))
+    task_ids = [f"t{j}" for j in range(n_tasks)]
+    metrics = {t: MetricSpec(direction=LOWER) for t in draw(st.lists(st.sampled_from(task_ids)))}
+    weights = draw(st.one_of(st.none(), st.dictionaries(st.sampled_from(task_ids),
+                                                        st.sampled_from([0.1, 1e-3, 7.25]))))
+    return build(rows, metrics), AggregationSpec("arithmetic_mean", weights=weights)
+
+
+def audit_or_error(m, spec, size, k):
+    """The audit's per-subset Top-k, or the message of the DomainError it raises."""
+    try:
+        return unique_topk_audit(m, spec, size, k).per_subset_topk
+    except DomainError as exc:
+        return str(exc)
+
+
+def oracle_or_error(m, spec, size, k):
+    try:
+        return oracle(m, spec, list(enumerate_subsets(m.task_ids, size)), k)
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(case=mean_cases())
+def test_mean_kernel_keys_equal_the_scalar_means(case):
+    m, spec = case
+    subset_keys = BATCHED["arithmetic_mean"](oriented_array(m)[0], m, spec)
+    for size in range(1, m.n_tasks + 1):
+        if subset_keys is not None:
+            idx = np.array(list(combinations(range(m.n_tasks), size)))
+            for row, key in zip(idx.tolist(), subset_keys(idx)):
+                means = arithmetic_mean(m, [m.task_ids[j] for j in row], spec.weights)
+                assert key.tolist() == [means.per_model[mid] for mid in m.model_ids]
+        k = m.n_models
+        assert audit_or_error(m, spec, size, k) == oracle_or_error(m, spec, size, k)
+
+
+def test_a_sum_whose_partial_sums_overflow_ignores_task_order():
+    # math.fsum overflows on the partial sum MAX + MAX of m0, not on m2's
+    # MAX - MAX; the exact sum is MAX for both, so they tie.
+    m = build([[MAX, MAX, -MAX], [1.0, 2.0, 3.0], [MAX, -MAX, MAX]])
+    means = arithmetic_mean(m).per_model
+    assert means["m0"] == means["m2"] == MAX / 3
+    spec = AggregationSpec("arithmetic_mean")
+    assert unique_topk_audit(m, spec, 3, 1).per_subset_topk == oracle(m, spec, [m.task_ids], 1)
+
+
+def test_terms_beyond_two_slices_take_the_scalar_path(scalar_calls):
+    # Tenths fill their cells' low bits, far above those of 1e-30.
+    rows = np.random.default_rng(6).integers(0, 5, size=(5, 4)) / 10
+    rows[0, 0] = 1e-30
+    m = build(rows)
+    spec = AggregationSpec("arithmetic_mean")
+    assert BATCHED["arithmetic_mean"](oriented_array(m)[0], m, spec) is None
+    for size in (1, 2, 3):
+        subsets = list(enumerate_subsets(m.task_ids, size))
+        scalar_calls.clear()
+        result = unique_topk_audit(m, spec, size, 3)
+        assert scalar_calls == subsets
+        assert result.per_subset_topk == oracle(m, spec, subsets, 3)
 
 
 @pytest.mark.parametrize("method", ["macro_average", "elimination_ranking"])
@@ -328,12 +421,10 @@ def test_audit_ignores_model_and_task_order(method, data):
                 == {frozenset(s): tk for s, tk in b.per_subset_topk.items()})
 
 
-def test_for_k_on_chunks_that_mix_kernel_and_scalar_rows(monkeypatch, scalar_calls):
+def test_for_k_on_chunks_of_different_code_widths(monkeypatch, scalar_calls):
     # m0 and m1 differ only on t1, so they tie in every subset without t1.
-    # Such a subset takes the scalar path when the tie falls within the places
-    # the audit certifies; the mean kernel certifies the others.  Two subsets
-    # per chunk mixes both kinds in one chunk, and boundary ties give the
-    # chunks different code widths.
+    # Two subsets per chunk, and boundary ties give the chunks different code
+    # widths, which the audit pads to one.
     monkeypatch.setattr(rankstats, "_CHUNK", 2)
     rows = [[0.9, 0.8, 0.5, 0.5],
             [0.9, 0.2, 0.5, 0.5],
@@ -345,15 +436,13 @@ def test_for_k_on_chunks_that_mix_kernel_and_scalar_rows(monkeypatch, scalar_cal
     widths = set()
     for size, k_max in product((1, 2, 3), (1, n + 1)):
         subsets = list(enumerate_subsets(m.task_ids, size))
-        scalar_calls.clear()
-        unique_topk_audit(m, spec, size, k_max)
-        assert scalar_calls and set(scalar_calls) != set(subsets)
         pairs = audits_both_ways(m, spec, size, k_max)
         for cut, direct in pairs:
             assert_same_audit(cut, direct, oracle(m, spec, subsets, cut.k))
         assert any(tk.boundary_tied for tk in pairs[0][0].per_subset_topk.values())
         widths |= {cut.per_subset_topk.codes.shape[1] for cut, _ in pairs}
     assert len(widths) > 1
+    assert scalar_calls == []
 
 
 def test_for_k_needs_a_smaller_k_and_coded_topks():
