@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
 from math import comb
 
@@ -41,13 +40,15 @@ _ROWS_CHUNK = 1024  # subsets per chunk of the per-subset listing; bounds its me
 class _CodedTopK(Mapping):
     """Per-subset Top-k of an audit as integer codes, decoded on access.
 
-    Row r of `codes` is the Top-k of the subset whose task indices are
-    `subsets[r]`: position p holds group * n_models + model for the model
-    in place p, best first, with model indices ascending inside a tie group
-    and group ids counting from 0; it holds -1 past the end of the group
-    that holds position k.  Two subsets have the same Top-k exactly when
-    their rows are equal.  The mapping's keys are task-id tuples in row
-    order.
+    `model_ids` lists the ids in `sorted` order, and a model's index is its
+    place there.  Row r of `codes` is the Top-k of the subset whose task
+    indices are `subsets[r]`: position p holds group * n_models + model for
+    the model in place p, best first, with model indices ascending inside a
+    tie group and group ids counting from 0; it holds -1 past the end of
+    the group that holds position k.  The codes do not depend on the order
+    of the matrix's model rows, and two subsets have the same Top-k exactly
+    when their rows are equal.  The mapping's keys are task-id tuples in
+    row order.
     """
 
     def __init__(self, model_ids: Sequence[str], task_ids: Sequence[str],
@@ -73,17 +74,11 @@ class _CodedTopK(Mapping):
             self._rows = {subset: r for r, subset in enumerate(self)}
         return self.decode(self.codes[self._rows[key]])
 
-    @cached_property
-    def _by_id(self) -> np.ndarray:
-        return np.array(sorted(range(len(self.model_ids)), key=self.model_ids.__getitem__),
-                        dtype=np.intp)
-
     def decode(self, code: np.ndarray) -> TopK:
         """The TopK that one row of codes stands for."""
-        group, model, valid = (a[0] for a in _split(code[None, :], self._by_id))
-        group, model = group[valid].tolist(), model[valid].tolist()
+        group, model = np.divmod(code[code >= 0], len(self.model_ids))
         groups: list[list[str]] = [[] for _ in range(group[-1] + 1)]
-        for g, i in zip(group, model):
+        for g, i in zip(group.tolist(), model.tolist()):
             groups[g].append(self.model_ids[i])
         return TopK(self.k, tuple(map(frozenset, groups)), boundary_tied=len(model) > self.k)
 
@@ -103,25 +98,6 @@ class _CodedTopK(Mapping):
         """The same subsets' Top-k for k <= self.k, cut from these codes."""
         return _CodedTopK(self.model_ids, self.task_ids, self.subsets,
                           _top(self.codes, len(self.model_ids), k), k)
-
-
-def _split(codes: np.ndarray, by_id: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group ids, model indices and valid mask of a block of code rows.
-
-    `by_id` lists the model indices in the order of their ids, the order
-    `sorted` gives.  Inside a tie group the models follow that order: each
-    row is sorted once by group * n + the rank of the model's id, with
-    padding last, where it is not valid.
-    """
-    n = len(by_id)
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_id] = np.arange(n)
-    codes = codes.astype(np.intp)
-    model = codes % n  # n - 1 on padding, which the key overrides
-    key = np.where(codes < 0, n * n, codes - model + rank[model])
-    key.sort(axis=1)
-    group, place = np.divmod(key, n)
-    return group, by_id[place], key < n * n
 
 
 def _top(codes: np.ndarray, n_models: int, k: int) -> np.ndarray:
@@ -245,10 +221,12 @@ def _subset_codes(
     matrix, when it touches a missing cell, where that call raises the
     scalar path's MissingScoreError, or when a kernel key is not finite,
     where an overflow would tie models and the scalar path raises its
-    DomainError.  Each row's models are then sorted once by key, stably, and
-    equal keys form a tie group.
+    DomainError.  The key columns are then put in the order of the model
+    ids, and each row's models sorted once by key, stably, so equal keys
+    form a tie group ordered by id.
     """
     n = m.n_models
+    by_id = np.array(sorted(range(n), key=m.model_ids.__getitem__), dtype=np.intp)
     x, missing = oriented_array(m)
     col_missing = missing.any(axis=0)
     factory = BATCHED.get(spec.method, lambda *_: None)
@@ -264,6 +242,7 @@ def _subset_codes(
         for row in np.flatnonzero(scalar).tolist():
             entries = aggregate(m, tuple(m.task_ids[j] for j in idx[row].tolist()), spec).entries
             keys[row] = [-entries[mid] for mid in m.model_ids]
+        keys = keys[:, by_id]
         order = np.argsort(-keys, axis=1, kind="stable")
         ranked = np.take_along_axis(keys, order, axis=1)
         group = np.zeros_like(order)
@@ -309,7 +288,8 @@ def unique_topk_audit(
     ranks = np.arange(total) if exact else _sampled_subsets(total, size, sampling_budget, seed)
     subsets = _unrank(ranks, m.n_tasks, size)
     codes = _subset_codes(m, spec, subsets, k)
-    return _result(size, total, exact, _CodedTopK(m.model_ids, m.task_ids, subsets, codes, k))
+    coded = _CodedTopK(sorted(m.model_ids), m.task_ids, subsets, codes, k)
+    return _result(size, total, exact, coded)
 
 
 def subset_tau_profile(
@@ -394,12 +374,14 @@ def _audit_rows(results: Sequence[SubsetAuditResult]) -> Iterator[Iterator[tuple
     ids with "+"; topk joins the tie groups, best first, with ";" and the
     sorted model ids of a group with "|".  Rows run over the audit's
     subsets in order and, for each subset, over `results` in order.  Each
-    chunk renders _ROWS_CHUNK subsets straight from their rows of codes, so
-    its memory is bounded by the chunk: a cell is one join of strings
-    picked by fancy indexing from an object array.
+    chunk renders _ROWS_CHUNK subsets straight from their rows of codes,
+    whose models already follow id order inside a tie group, so its memory
+    is bounded by the chunk: a cell is one join of strings picked by fancy
+    indexing from an object array.
     """
     coded = [r.per_subset_topk for r in results]
     first = coded[0]
+    n = len(first.model_ids)
     size = results[0].subset_size
     tasks = np.array(first.task_ids, dtype=object)
     # pieces[sep, model]: the model's id after no separator, "|" (same tie
@@ -411,7 +393,9 @@ def _audit_rows(results: Sequence[SubsetAuditResult]) -> Iterator[Iterator[tuple
         task_cells = list(map("+".join, tasks[first.subsets[start:stop]].tolist()))
         columns = []
         for c in coded:
-            group, model, valid = _split(c.codes[start:stop], first._by_id)
+            codes = c.codes[start:stop]
+            group, model = np.divmod(codes, n)
+            valid = codes >= 0
             sep = np.zeros(group.shape, dtype=np.intp)
             sep[:, 1:] = np.where(valid[:, 1:], 1 + (group[:, 1:] != group[:, :-1]), 0)
             cells = map("".join, pieces[sep, np.where(valid, model, -1)].tolist())

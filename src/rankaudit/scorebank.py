@@ -64,7 +64,9 @@ class ScoreMatrix:
     """Immutable models x tasks score table with per-task metadata.
 
     scores is row-major (one row per model); cells are floats or None for
-    missing.  Every present score must be finite.
+    missing.  Every present score must be finite.  There must be at least
+    one model and one task, and the ids must be distinct within each axis
+    and free of line breaks, which would split a CSV row.
     """
 
     model_ids: tuple[str, ...]
@@ -75,10 +77,16 @@ class ScoreMatrix:
     def __post_init__(self) -> None:
         models = tuple(self.model_ids)
         tasks = tuple(self.task_ids)
+        if not models:
+            raise SchemaError("score matrix has no models")
+        if not tasks:
+            raise SchemaError("score matrix has no tasks")
         if len(set(models)) != len(models):
             raise SchemaError("duplicate model id")
         if len(set(tasks)) != len(tasks):
             raise SchemaError("duplicate task id")
+        single_line(models, "model")
+        single_line(tasks, "task")
         rows = tuple(tuple(row) for row in self.scores)
         if len(rows) != len(models):
             raise SchemaError(f"expected {len(models)} score rows, got {len(rows)}")
@@ -300,15 +308,12 @@ def load_matrix(
     missing; metric metadata comes from the `metrics` argument (typically
     a parsed sidecar).  JSON: an object with "models", "tasks", "scores"
     (array of arrays, null = missing) and optional inline "metrics".
-    Either way a model or task id must not hold a line break.
+    Either way the matrix must pass `ScoreMatrix`'s checks.
     """
     loaders = {"csv": _load_csv, "json": _load_json}
     if format not in loaders:
         raise ConfigError(f"unknown matrix format {format!r}")
-    m = loaders[format](_as_text(source, "matrix stream"), metrics)
-    single_line(m.model_ids, "model")
-    single_line(m.task_ids, "task")
-    return m
+    return loaders[format](_as_text(source, "matrix stream"), metrics)
 
 
 def _load_csv(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatrix:
@@ -320,8 +325,6 @@ def _load_csv(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatri
     if not header or header[0].strip() != "model":
         raise SchemaError("CSV header must start with 'model'")
     task_ids = tuple(h.strip() for h in header[1:])
-    if not task_ids:
-        raise SchemaError("CSV header declares no tasks")
     model_ids: list[str] = []
     rows: list[tuple[float | None, ...]] = []
     for row_no, row in enumerate(reader, start=2):
@@ -338,8 +341,6 @@ def _load_csv(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatri
                 for j, cell in enumerate(row[1:])
             )
         )
-    if not model_ids:
-        raise SchemaError("CSV stream contains no model rows")
     return ScoreMatrix(tuple(model_ids), task_ids, tuple(rows), dict(metrics or {}))
 
 

@@ -964,6 +964,23 @@ def test_exit_code_2_for_a_matrix_id_with_a_line_break(name, text, named, tmp_pa
     assert "input error" in err and named in err
 
 
+@pytest.mark.parametrize("command", ["audit", "aggregate", "corr", "report"])
+@pytest.mark.parametrize("name, text, named", [
+    pytest.param("m.csv", "model,t1,t2\n", "no models", id="csv-header-only"),
+    pytest.param("m.json", json.dumps({"models": [], "tasks": ["t1", "t2"], "scores": []}),
+                 "no models", id="json-no-models"),
+    pytest.param("m.json", json.dumps({"models": ["a", "b"], "tasks": [], "scores": [[], []]}),
+                 "no tasks", id="json-no-tasks"),
+])
+def test_exit_code_2_for_a_matrix_without_models_or_tasks(command, name, text, named,
+                                                         tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run(capsys, command, "--matrix", str(path))
+    assert code == 2
+    assert "input error" in err and named in err
+
+
 def test_exit_code_2_for_a_dataset_id_with_a_line_break(tmp_path, capsys):
     path = tmp_path / "replicates.json"
     sides = {"A": [0.7, 0.71], "B": [0.8, 0.81]}

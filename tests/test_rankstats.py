@@ -487,12 +487,11 @@ def csv_bytes(rows):
     return buf.getvalue().encode()
 
 
-# Ids the csv module must quote (",", '"', "\n", "\r"), the listing's own
-# separators, spaces, non-ASCII text, and pairs whose code-point order differs
-# from their case-folded order ("B" < "a" < "é").
-ID_CHARS = 'aBbé,"\n\r |;+Zß\U0001f600'
-IDS = st.one_of(st.sampled_from(["B", "a", "é", "e", "E", "a,b", 'say "hi"', "two\nlines",
-                                 "cr\r", " x ", "Ω"]),
+# Ids the csv module must quote ("," and '"'), the listing's own separators,
+# spaces, non-ASCII text, and pairs whose code-point order differs from their
+# case-folded order ("B" < "a" < "é").  A ScoreMatrix refuses line breaks.
+ID_CHARS = 'aBbé," |;+Zß\U0001f600'
+IDS = st.one_of(st.sampled_from(["B", "a", "é", "e", "E", "a,b", 'say "hi"', " x ", "Ω"]),
                 st.text(alphabet=ID_CHARS, max_size=3))
 
 

@@ -103,6 +103,27 @@ def test_non_finite_scores_rejected():
         load_matrix("model,t1\na,nan\n", "csv")
 
 
+def test_matrix_without_models_or_tasks_rejected():
+    with pytest.raises(SchemaError, match="no models"):
+        ScoreMatrix((), ("t1", "t2"), ())
+    with pytest.raises(SchemaError, match="no tasks"):
+        ScoreMatrix(("a", "b"), (), ((), ()))
+    with pytest.raises(SchemaError, match="no models"):
+        load_matrix("model,t1,t2\n", "csv")
+    with pytest.raises(SchemaError, match="no tasks"):
+        load_matrix("model\na\n", "csv")
+
+
+# csv.writer leaves "\r" in a field unquoted, which splits its row on reading,
+# so the matrix itself refuses an id with a line break, however it was built.
+@pytest.mark.parametrize("brk", ["\r", "\n"])
+def test_id_with_a_line_break_rejected(brk):
+    with pytest.raises(SchemaError, match=r"model id 'a\\[rn]b' holds a line break"):
+        ScoreMatrix((f"a{brk}b", "c"), ("t1",), ((1.0,), (2.0,)))
+    with pytest.raises(SchemaError, match=r"task id 't\\[rn]1' holds a line break"):
+        ScoreMatrix(("a", "c"), (f"t{brk}1",), ((1.0,), (2.0,)))
+
+
 def test_metric_for_unknown_task_rejected():
     with pytest.raises(SchemaError):
         ScoreMatrix(("a",), ("t",), ((1.0,),), {"other": MetricSpec()})

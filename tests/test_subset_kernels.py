@@ -408,17 +408,23 @@ def permuted(m, model_order, task_order):
 @given(data=st.data())
 def test_audit_ignores_model_and_task_order(method, data):
     m, spec, size, k_max = data.draw(tied_cases(method))
-    p = permuted(m, data.draw(st.permutations(range(m.n_models))),
-                 data.draw(st.permutations(range(m.n_tasks))))
-    audits = [unique_topk_audit(x, spec, size, k_max) for x in (m, p)]
+    models = data.draw(st.permutations(range(m.n_models)))
+    p = permuted(m, models, data.draw(st.permutations(range(m.n_tasks))))
+    q = permuted(m, models, range(m.n_tasks))
+    audits = [unique_topk_audit(x, spec, size, k_max) for x in (m, p, q)]
     for k in range(1, k_max + 1):
-        a, b = (audit.for_k(k) for audit in audits)
+        a, b, c = (audit.for_k(k) for audit in audits)
         assert a.exact and b.exact
         assert ((a.subset_size, a.k, a.unique_count, a.total_combinations)
                 == (b.subset_size, b.k, b.unique_count, b.total_combinations))
         # a subset's task tuple follows the column order, so compare by task set
         assert ({frozenset(s): tk for s, tk in a.per_subset_topk.items()}
                 == {frozenset(s): tk for s, tk in b.per_subset_topk.items()})
+        # with the columns kept, the codes themselves ignore the model rows' order
+        for x, y in ((a.per_subset_topk.codes, c.per_subset_topk.codes),
+                     (a.per_subset_topk.unique()[0], c.per_subset_topk.unique()[0])):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
 
 
 def test_for_k_on_chunks_of_different_code_widths(monkeypatch, scalar_calls):
