@@ -8,7 +8,7 @@ Subcommands:
   simulate-reuse  adaptive holdout-reuse attack simulation
   report          combined audit + corr + aggregate report
 
-Exit codes: 0 success, 2 input/schema error, 3 computation error.
+Exit codes: 0 success, 2 input/schema error, 3 computation error (out of memory too).
 Every command is deterministic given (inputs, config, seed); JSON and CSV
 outputs are byte-identical across repeated runs.
 """
@@ -580,6 +580,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except AuditError as exc:
         print(f"rankaudit: computation error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"rankaudit: computation error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

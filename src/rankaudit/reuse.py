@@ -27,6 +27,7 @@ from .util import derive_seed, distinct, positive
 
 NAIVE = "naive"
 LADDER = "ladder"
+_BLOCK_BITS = 2**18  # prediction bits the boosting attack draws, scores and tallies at a time
 
 
 @dataclass
@@ -163,10 +164,10 @@ def _random_predictions(rng: np.random.Generator, count: int, n: int) -> np.ndar
 def boosting_attack(server: HoldoutServer, i: int, seed: int = 0) -> AttackReport:
     """Run the boosting attack with i queries against the server.
 
-    Submits i independent uniform-random prediction vectors as one packed
-    batch, collects those whose *reported* accuracy exceeds 1/2, and
-    majority-votes the collected vectors coordinate-wise (seeded coin
-    for even splits; a fresh random vector if nothing was collected).  The
+    Submits i independent uniform-random prediction vectors, collects those
+    whose *reported* accuracy exceeds 1/2, and majority-votes the collected
+    vectors coordinate-wise (seeded coin for even splits, so every coordinate
+    is a coin if nothing was collected).  The
     final predictor is evaluated directly against the hidden labels and
     against a fresh label draw, so the server's query counter increases by
     exactly i.
@@ -177,32 +178,36 @@ def boosting_attack(server: HoldoutServer, i: int, seed: int = 0) -> AttackRepor
 def _attacks(servers: list[HoldoutServer], i: int, seed: int) -> list[AttackReport]:
     """`boosting_attack(server, i, seed)` for each server, all of one size n.
 
-    The candidates and fresh labels are drawn once; each vote seeds its own `attack-aux` stream.
+    Candidates are drawn, scored and tallied in blocks of a multiple of 8 rows and about
+    `_BLOCK_BITS` bits, read from the raw stream as one i-row draw would; the state is one
+    block and each server's vote counts, whatever i.  Each vote seeds its own `attack-aux` stream.
     """
     if i < 1:
         raise ConfigError(f"query budget must be >= 1, got {i}")
     n = servers[0].n
+    rows = 8 * max(1, _BLOCK_BITS // (8 * n))
     rng = np.random.default_rng(derive_seed(seed, "attack-predictions"))
-    candidates = _random_predictions(rng, i, n)
+    votes = np.zeros((len(servers), n), dtype=np.uint64)
+    counts = [0] * len(servers)
+    for start in range(0, i, rows):
+        candidates = _random_predictions(rng, min(rows, i - start), n)
+        for s, server in enumerate(servers):
+            kept = candidates[_reports(server, candidates) > 0.5]
+            votes[s] += np.unpackbits(kept, axis=1, count=n).sum(axis=0)
+            counts[s] += len(kept)
     fresh = np.random.default_rng(derive_seed(seed, "fresh-labels")).integers(
         0, 2, size=n, dtype=np.uint8
     )
     outcomes = []
-    for server in servers:
-        collected = candidates[_reports(server, candidates) > 0.5]
+    for server, twice_votes, count in zip(servers, 2 * votes, counts):
         aux = np.random.default_rng(derive_seed(seed, "attack-aux"))
-        if len(collected):
-            twice_votes = 2 * np.unpackbits(collected, axis=1, count=n).sum(axis=0)
-            final = (twice_votes > len(collected)).astype(np.uint8)
-            even = twice_votes == len(collected)
-            if np.any(even):
-                final[even] = aux.integers(0, 2, size=int(even.sum()), dtype=np.uint8)
-        else:
-            final = aux.integers(0, 2, size=n, dtype=np.uint8)
+        final = (twice_votes > count).astype(np.uint8)
+        even = twice_votes == count
+        final[even] = aux.integers(0, 2, size=int(even.sum()), dtype=np.uint8)
         outcomes.append(AttackReport(i, server.mechanism,
                                      reported_accuracy=float(np.mean(final == server._labels)),
                                      true_accuracy=float(np.mean(final == fresh)),
-                                     bound_value=reuse_bound(n, i), collected=len(collected)))
+                                     bound_value=reuse_bound(n, i), collected=count))
     return outcomes
 
 

@@ -619,15 +619,21 @@ def test_simulate_reuse_deterministic_csv(tmp_path, capsys):
     assert len(out1.splitlines()) == 1 + 2 * 2 * 2
 
 
-def test_simulate_reuse_trials_csv_is_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("grid, expected", [
     # n = 101 is not a multiple of 8; the digest pins the seeded attack
     # stream, the majority vote and the ladder reports byte for byte
+    (["--n", "101", "--i-schedule", "10,37", "--trials", "3", "--seed", "5"],
+     "06e9bcced4dd31e0956b6a417b9002770e757bda9b1b6383bff13b692bcd703a"),
+    # i = 600 and 4000 span several attack blocks, the last one partial
+    (["--n", "997", "--i-schedule", "1,600,4000", "--trials", "2", "--seed", "7"],
+     "a486ca432c3afe5df7e9918cdb1046ae94571a0cb34830ebc7a2f0274fd0636e"),
+], ids=["n101", "n997"])
+def test_simulate_reuse_trials_csv_is_pinned(tmp_path, capsys, grid, expected):
     out = tmp_path / "sim"
-    code, _, _ = run(capsys, "simulate-reuse", "--n", "101", "--i-schedule", "10,37",
-                     "--mechanism", "both", "--trials", "3", "--seed", "5", "--out", str(out))
+    code, _, _ = run(capsys, "simulate-reuse", *grid, "--mechanism", "both", "--out", str(out))
     assert code == 0
     digest = hashlib.sha256((out / "reuse_trials.csv").read_bytes()).hexdigest()
-    assert digest == "06e9bcced4dd31e0956b6a417b9002770e757bda9b1b6383bff13b692bcd703a"
+    assert digest == expected
 
 
 def test_simulate_reuse_bound_annotation(capsys):
@@ -1105,6 +1111,18 @@ def test_exit_code_3_for_reassignment_sum_overflow(tmp_path, capsys):
     code, out, err = run(capsys, "compare", "--replicates", str(path))
     assert code == 3 and out == ""
     assert "computation error" in err and "'d1'" in err
+
+
+def test_exit_code_3_when_out_of_memory(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 1.86 GiB for an array with shape (20000, 100000)")
+
+    monkeypatch.setattr(rankaudit.cli, "simulate", exhausted)
+    code, out, err = run(capsys, "simulate-reuse", "--n", "100000", "--i-schedule", "20000",
+                         "--trials", "1", "--format", "csv")
+    assert code == 3 and out == ""
+    assert err == ("rankaudit: computation error: out of memory: Unable to allocate 1.86 GiB "
+                   "for an array with shape (20000, 100000)\n")
 
 
 def test_provenance_hash_tracks_input_bytes(tmp_path, capsys):

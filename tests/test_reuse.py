@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -325,10 +326,11 @@ def test_attack_empty_collection_falls_back_to_random_vector(monkeypatch):
     assert 0.0 <= outcome.reported_accuracy <= 1.0
 
 
+# at 2**18 bits a block, (997, 600) is three blocks, the last partial, and (40_001, 37) 8-row ones
+@pytest.mark.parametrize("n, i", [(200, 300), (997, 600), (40_001, 37)])
 @pytest.mark.parametrize("mechanism", [NAIVE, LADDER])
-def test_attack_matches_per_query_oracle(mechanism):
+def test_attack_matches_per_query_oracle(mechanism, n, i):
     for seed in range(4):
-        n, i = 200, 300
         server = new_holdout(n, mechanism, seed=seed)
         reference = new_holdout(n, mechanism, seed=seed)
         outcome = boosting_attack(server, i, seed=seed + 10)
@@ -336,6 +338,20 @@ def test_attack_matches_per_query_oracle(mechanism):
         assert (outcome.reported_accuracy, outcome.true_accuracy, outcome.collected) == expected
         assert server.query_count == reference.query_count == i
         assert server.best_reported == reference.best_reported
+
+
+def test_attack_memory_does_not_grow_with_i():
+    # one block of candidates and the vote counts; all 20,000 x 1,000
+    # candidates at once would take 20 MB
+    server = new_holdout(1000, NAIVE, seed=1)
+    tracemalloc.start()
+    try:
+        boosting_attack(server, 20_000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert server.query_count == 20_000
+    assert peak < 1_000_000
 
 
 def test_attack_validation():
