@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -226,46 +225,40 @@ def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> 
     """Exhaustive-ballot elimination: tasks vote, fewest votes drop out.
 
     Each round every task casts one vote for its top remaining model
-    (task-level ties split the vote fractionally).  All models holding
+    (task-level ties split the vote evenly).  All models holding
     the minimal vote total are eliminated together and take the worst
     open positions; their order within that block is settled by running
     the same contest among themselves, so a one-task ballot degenerates
     to the plain score ordering.  If a round would eliminate everyone,
-    the remaining models tie.  Votes are exact rationals, so outcomes do
-    not depend on summation order.
+    the remaining models tie.  Votes are integer points: a round's unit
+    is the lcm of its tasks' top-group sizes and a task gives each of its
+    g top models unit // g, so outcomes do not depend on summation order.
     """
-    tasks = _checked_tasks(m, subset)
-    arr = oriented_cells(m, tasks)
-    score = {
-        mid: {t: arr[i, j] for j, t in enumerate(tasks)}
-        for i, mid in enumerate(m.model_ids)
-    }
-
-    def contest(models: frozenset[str]) -> list[frozenset[str]]:
-        """Tie groups best-first for a sub-field of models."""
-        if len(models) == 1:
-            return [models]
-        votes: dict[str, Fraction] = {mid: Fraction(0) for mid in models}
-        for t in tasks:
-            best = max(score[mid][t] for mid in models)
-            tops = [mid for mid in models if score[mid][t] == best]
-            share = Fraction(1, len(tops))
-            for mid in tops:
-                votes[mid] += share
-        v_min = min(votes.values())
-        losers = frozenset(mid for mid in models if votes[mid] == v_min)
-        if losers == models:
-            return [models]
-        return contest(models - losers) + contest(losers)
-
-    rank: dict[str, float] = {}
-    position = 1
-    for group in contest(frozenset(m.model_ids)):
-        for mid in group:
-            rank[mid] = position + (len(group) - 1) / 2.0
-        position += len(group)
-    # In model order: the groups are frozensets, whose order follows str hashes.
-    return Ranking({mid: rank[mid] for mid in m.model_ids})
+    columns = oriented_cells(m, _checked_tasks(m, subset)).T.tolist()
+    place = [0] * m.n_models
+    settled = 0
+    fields = [list(range(m.n_models))]  # best field on top
+    while fields:
+        field = fields.pop()
+        if len(field) > 1:
+            tops = []
+            for col in columns:
+                best = max(col[i] for i in field)
+                tops.append([i for i in field if col[i] == best])
+            unit = math.lcm(*map(len, tops))
+            votes = dict.fromkeys(field, 0)
+            for group in tops:
+                for i in group:
+                    votes[i] += unit // len(group)
+            least = min(votes.values())
+            losers = [i for i in field if votes[i] == least]
+            if len(losers) < len(field):
+                fields += [losers, [i for i in field if votes[i] > least]]
+                continue
+        settled += 1
+        for i in field:
+            place[i] = settled
+    return rank_models(dict(zip(m.model_ids, place)), higher_is_better=False)
 
 
 # The scalar schemes: method name -> scheme on a matrix of any directions, a

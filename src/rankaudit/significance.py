@@ -343,8 +343,9 @@ def prob_a_le_b(
     """Bootstrap estimate of P(mean_A <= mean_B); ties count toward A <= B.
 
     Each bootstrap round independently resamples both sides with
-    replacement and compares the resampled means.  Deterministic for a
-    fixed seed.
+    replacement and compares the resampled means.  Rounds are drawn
+    `_MC_CHUNK` at a time, all of side A before any of side B, which
+    gives the values of one draw per side.  Deterministic for a fixed seed.
     """
     a = np.asarray(list(samples_a), dtype=float)
     b = np.asarray(list(samples_b), dtype=float)
@@ -353,6 +354,8 @@ def prob_a_le_b(
     if bootstrap_n < 1000:
         raise ConfigError(f"bootstrap_n must be >= 1000, got {bootstrap_n}")
     rng = np.random.default_rng(derive_seed(seed, "prob-a-le-b"))
-    means_a = a[rng.integers(0, a.size, size=(bootstrap_n, a.size))].mean(axis=1)
-    means_b = b[rng.integers(0, b.size, size=(bootstrap_n, b.size))].mean(axis=1)
+    chunks = [min(_MC_CHUNK, bootstrap_n - done) for done in range(0, bootstrap_n, _MC_CHUNK)]
+    means_a, means_b = (
+        np.concatenate([x[rng.integers(0, x.size, size=(rows, x.size))].mean(axis=1)
+                        for rows in chunks]) for x in (a, b))
     return float(np.mean(means_a <= means_b))

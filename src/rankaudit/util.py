@@ -97,6 +97,8 @@ def parse_json(data: bytes | str, where: str, reader: Reader) -> Any:
         doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{where}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{where}: JSON nested too deeply") from None
     try:
         return reader(doc)
     except (TypeError, ValueError, ConfigError) as exc:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from rankaudit.aggregate import (
 from rankaudit.errors import ConfigError, DomainError, MissingScoreError
 from rankaudit.ranking import rank_models
 from rankaudit.rankstats import unique_topk_audit
-from rankaudit.scorebank import HIGHER, LOWER, MetricSpec, ScoreMatrix, orient
+from rankaudit.scorebank import HIGHER, LOWER, MetricSpec, ScoreMatrix, orient, oriented_cells
 
 
 def matrix(rows, model_ids=None, task_ids=None, metrics=None):
@@ -245,11 +246,15 @@ def test_elimination_single_task_equals_score_order():
         elim = elimination_ranking(m)
         by_score = rank_models(arithmetic_mean(m).per_model, higher_is_better=True)
         assert elim.entries == by_score.entries
+    # one model is eliminated per round: 1,199 rounds, as deep as a recursion would go
+    m = matrix([[s] for s in rng.permutation(1200)])
+    by_score = rank_models(arithmetic_mean(m).per_model, higher_is_better=True)
+    assert elimination_ranking(m).entries == by_score.entries
 
 
 
 def test_elimination_entries_follow_model_order_whatever_the_hash_seed():
-    # The tie groups are frozensets, which iterate in str-hash order.
+    # Entries follow model order, never the str-hash order of a set of tied ids.
     code = ("from rankaudit.aggregate import elimination_ranking\n"
             "from rankaudit.scorebank import ScoreMatrix\n"
             "rows = ((1.0, 2.0), (1.0, 2.0), (3.0, 0.0), (0.0, 3.0), (1.0, 2.0))\n"
@@ -262,6 +267,53 @@ def test_elimination_entries_follow_model_order_whatever_the_hash_seed():
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.split() == ["m0", "m1", "m2", "m3", "m4"]
+
+
+def recursive_elimination(m, subset=None):
+    """The elimination contest as a recursion over frozensets with Fraction votes."""
+    tasks = tuple(m.task_ids if subset is None else subset)
+    arr = oriented_cells(m, tasks)
+    score = {mid: {t: arr[i, j] for j, t in enumerate(tasks)}
+             for i, mid in enumerate(m.model_ids)}
+
+    def contest(models):
+        if len(models) == 1:
+            return [models]
+        votes = {mid: Fraction(0) for mid in models}
+        for t in tasks:
+            best = max(score[mid][t] for mid in models)
+            tops = [mid for mid in models if score[mid][t] == best]
+            for mid in tops:
+                votes[mid] += Fraction(1, len(tops))
+        v_min = min(votes.values())
+        losers = frozenset(mid for mid in models if votes[mid] == v_min)
+        if losers == models:
+            return [models]
+        return contest(models - losers) + contest(losers)
+
+    rank, position = {}, 1
+    for group in contest(frozenset(m.model_ids)):
+        for mid in group:
+            rank[mid] = position + (len(group) - 1) / 2.0
+        position += len(group)
+    return {mid: rank[mid] for mid in m.model_ids}
+
+
+@given(data=st.data())
+def test_elimination_equals_the_recursive_contest(data):
+    n_models = data.draw(st.integers(1, 12))
+    n_tasks = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n_tasks, max_size=n_tasks),
+                              min_size=n_models, max_size=n_models))
+    ids = data.draw(st.permutations([f"m{i}" for i in range(n_models)]))
+    m = matrix(rows, ids, metrics={f"t{j + 1}": MetricSpec(direction=LOWER)
+                                   for j in range(n_tasks) if data.draw(st.booleans())})
+    subset = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(m.task_ids), min_size=1,
+                                                     unique=True)))
+    got = elimination_ranking(m, subset).entries
+    want = recursive_elimination(m, subset)
+    assert got == want
+    assert list(got) == list(want)
 
 
 # -- dispatcher -----------------------------------------------------------------

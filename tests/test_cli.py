@@ -421,6 +421,17 @@ def test_aggregate_subset_flag(capsys):
     assert order[:3] == ["Sparse Transformer", "BigBird", "Transformer"]
 
 
+def test_aggregate_elimination_of_a_wide_one_task_matrix(tmp_path, capsys):
+    # one model is eliminated per round, 1,099 rounds in all
+    path = tmp_path / "wide.csv"
+    path.write_text("model,t1\n" + "".join(f"m{i},{i}\n" for i in range(1100)))
+    code, stdout, _ = run(capsys, "aggregate", "--matrix", str(path),
+                          "--method", "elimination_ranking", "--format", "json")
+    assert code == 0
+    table = next(s for s in json.loads(stdout)["sections"] if s["title"].startswith("Ranking"))
+    assert [row[1] for row in table["table"]["rows"]] == [f"m{i}" for i in range(1099, -1, -1)]
+
+
 # -- compare --------------------------------------------------------------------
 
 
@@ -907,6 +918,20 @@ def test_exit_code_2_for_non_utf8_input(which, tmp_path, capsys):
                        "--metrics", str(paths["metrics"]), "--config", str(paths["config"]))
     assert code == 2
     assert "input error" in err and "utf-8" in err.lower()
+
+
+@pytest.mark.parametrize("which", ["config", "replicates", "matrix", "metrics"])
+def test_exit_code_2_for_json_nested_too_deeply(which, tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"tasks": %s}' % deep if which == "metrics" else deep)
+    argv = {"config": ["aggregate", "--matrix", MATRIX, "--config", str(path)],
+            "replicates": ["compare", "--replicates", str(path)],
+            "matrix": ["aggregate", "--matrix", str(path)],
+            "metrics": ["aggregate", "--matrix", MATRIX, "--metrics", str(path)]}[which]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "input error" in err and "JSON nested too deeply" in err
 
 
 def test_matrix_format_flag_overrides_extension(tmp_path, capsys):

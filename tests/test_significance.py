@@ -22,6 +22,7 @@ from rankaudit.significance import (
     prob_a_le_b,
     wilcoxon_signed_rank,
 )
+from rankaudit.util import derive_seed
 
 
 def paired(diffs):
@@ -686,6 +687,37 @@ def test_prob_a_le_b_close_to_large_oracle():
     means_b = b[oracle_rng.integers(0, b.size, size=(draws, b.size))].mean(axis=1)
     oracle = float(np.mean(means_a <= means_b))
     assert est == pytest.approx(oracle, abs=0.02)
+
+
+def one_draw_prob_a_le_b(a, b, bootstrap_n, seed):
+    """prob_a_le_b drawing each side's bootstrap_n rounds in one call."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rng = np.random.default_rng(derive_seed(seed, "prob-a-le-b"))
+    means_a = a[rng.integers(0, a.size, size=(bootstrap_n, a.size))].mean(axis=1)
+    means_b = b[rng.integers(0, b.size, size=(bootstrap_n, b.size))].mean(axis=1)
+    return float(np.mean(means_a <= means_b))
+
+
+@pytest.mark.parametrize("bootstrap_n", [1000, 2048, 2049, 12_345])
+def test_prob_a_le_b_chunks_draw_the_one_call_values(bootstrap_n):
+    rng = np.random.default_rng(42)
+    for na, nb in product([1, 3, 16, 40], repeat=2):
+        a, b = rng.normal(0.0, 1.0, na).tolist(), rng.normal(0.1, 1.0, nb).tolist()
+        want = one_draw_prob_a_le_b(a, b, bootstrap_n, seed=na)
+        assert prob_a_le_b(a, b, bootstrap_n, seed=na) == want
+
+
+def test_prob_a_le_b_memory_is_bounded():
+    # one call per side holds 200,000 x 16 indices and values each, about 51 MB
+    rng = np.random.default_rng(43)
+    a, b = rng.normal(0.0, 1.0, 16).tolist(), rng.normal(0.2, 1.0, 16).tolist()
+    tracemalloc.start()
+    try:
+        prob_a_le_b(a, b, bootstrap_n=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
 
 
 def test_prob_a_le_b_validation():
