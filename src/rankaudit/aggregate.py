@@ -374,14 +374,21 @@ def _rank_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> Subset
     The per-task ranks do not depend on the subset, so they are computed
     once.  Twice a fractional rank is an integer, so the sums are exact and
     so are their ties; the scalar path divides the same sums by the subset
-    size, which keeps every order and tie.
+    size, which keeps every order and tie.  A subset with a bucket beyond
+    the float range gets NaN keys, which leave it to the scalar path and
+    its DomainError, so the other subsets are still scored.
     """
+    overflow = np.zeros(x.shape[1], dtype=bool)
     if spec.method == "robust_average_rank":
-        x = _bins(x, spec.bin_width, m.model_ids, m.task_ids)
+        with np.errstate(over="ignore"):
+            x = np.floor(x / spec.bin_width)
+        overflow = ~np.isfinite(x).all(axis=0)
     twice = 2 * np.array([fractional_ranks(col, descending=True) for col in x.T.tolist()])
 
     def keys(idx: np.ndarray) -> np.ndarray:
-        return -(_indicator(idx, x.shape[1]) @ twice)
+        out = -(_indicator(idx, x.shape[1]) @ twice)
+        out[overflow[idx].any(axis=1)] = np.nan
+        return out
 
     return keys
 

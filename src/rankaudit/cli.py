@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .aggregate import METHODS, AggregationSpec, aggregate, task_group
@@ -266,27 +266,34 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
-def _audit_curve(m: ScoreMatrix, cfg: AuditConfig,
-                 report: Report) -> tuple[list[list[SubsetAuditResult]], str]:
-    """Run the sizes x ks audits and add their unique-count table to `report`.
+def _audit_curve(m: ScoreMatrix, cfg: AuditConfig) -> Iterator[list[SubsetAuditResult]]:
+    """The sizes x ks audits, one list in ks order per size, scored as they are read.
 
     Every size is checked before any is scored.  Each size is scored
-    once, at the largest k; the other ks are cut from its codes.  Returns
-    the results, one list in ks order per size, and their
-    `size,k,unique,total` CSV.
+    once, at the largest k; the other ks are cut from its codes.
     """
     for size in cfg.subset_sizes:
         _subset_total(m.n_tasks, size)
-    audits = [unique_topk_audit(m, cfg.aggregation, size, max(cfg.ks),
-                                sampling_budget=cfg.sampling_budget, seed=cfg.seed)
-              for size in cfg.subset_sizes]
-    by_size = [[audit.for_k(k) for k in cfg.ks] for audit in audits]
-    results = [r for same_size in by_size for r in same_size]
-    rows = [[r.subset_size, r.k, r.unique_count, r.total_combinations] for r in results]
+
+    def by_size() -> Iterator[list[SubsetAuditResult]]:
+        for size in cfg.subset_sizes:
+            audit = unique_topk_audit(m, cfg.aggregation, size, max(cfg.ks),
+                                      sampling_budget=cfg.sampling_budget, seed=cfg.seed)
+            yield [audit.for_k(k) for k in cfg.ks]
+
+    return by_size()
+
+
+def _add_curve(report: Report, by_size: Iterable[list[SubsetAuditResult]]) -> str:
+    """Add the audits' unique-count table to `report`; return its `size,k,unique,total` CSV.
+
+    Each size's results are read once, so a stream of them is released size by size.
+    """
+    rows = [[r.subset_size, r.k, r.unique_count, r.total_combinations,
+             "exact" if r.exact else "sampled"] for same_size in by_size for r in same_size]
     report.add_table("Unique Top-k outcomes per subset size",
-                     ["size", "k", "unique", "total", "exact"],
-                     [[*row, "exact" if r.exact else "sampled"] for row, r in zip(rows, results)])
-    return by_size, _csv_text(["size", "k", "unique", "total"], rows)
+                     ["size", "k", "unique", "total", "exact"], rows)
+    return _csv_text(["size", "k", "unique", "total"], [row[:4] for row in rows])
 
 
 def _add_ranking(report: Report, title: str, ranking: Ranking) -> list[list[Any]]:
@@ -310,7 +317,8 @@ def _add_task_taus(report: Report, title: str, m: ScoreMatrix,
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg, m, report = _prepare(args, "Task-subset disagreement audit")
-    by_size, csv_text = _audit_curve(m, cfg, report)
+    by_size = list(_audit_curve(m, cfg))
+    csv_text = _add_curve(report, by_size)
     summary = [{"size": r.subset_size, "k": r.k, "unique": r.unique_count,
                 "total": r.total_combinations, "exact": r.exact}
                for same_size in by_size for r in same_size]
@@ -334,9 +342,9 @@ def cmd_corr(args: argparse.Namespace) -> int:
         subset_tau_profile(m, spec, [tuple(ts) for ts in groups.values()]) if groups else {}
     )
 
-    agreement_specs = [AggregationSpec("arithmetic_mean"), AggregationSpec("median")]
-    if spec.method not in {s.method for s in agreement_specs}:
-        agreement_specs.append(spec)
+    # every scheme runs under the configured weights, groups and bin width
+    agreement_specs = [replace(spec, method=name)
+                       for name in dict.fromkeys(["arithmetic_mean", "median", spec.method])]
     agreement = aggregator_agreement(m, agreement_specs)
 
     taus = [tau for tau in per_task.values() if tau is not None]
@@ -493,7 +501,7 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg, m, report = _prepare(args, "Leaderboard fragility report")
     _add_ranking(report, "Full-benchmark ranking", aggregate(m, None, cfg.aggregation))
-    _, csv_text = _audit_curve(m, cfg, report)
+    csv_text = _add_curve(report, _audit_curve(m, cfg))
     _add_task_taus(report, "Per-task tau-b vs. full ranking", m, cfg.aggregation)
     _emit(report, args.format, cfg.output_dir, "report", csv_text)
     return 0

@@ -17,9 +17,10 @@ from math import comb
 
 import numpy as np
 
-from .aggregate import BATCHED, AggregationSpec, aggregate, check_spec_tasks
+from .aggregate import (BATCHED, AggregationSpec, SubsetKeys, _checked_tasks, aggregate,
+                        check_spec_tasks)
 from .errors import ConfigError, UndefinedCorrelationError
-from .ranking import TopK, kendall_tau_b, top_k
+from .ranking import TopK, tau_b, top_k
 from .scorebank import ScoreMatrix, oriented_array
 from .util import derive_seed
 
@@ -209,40 +210,52 @@ def _sampled_subsets(total: int, size: int, budget: int, seed: int) -> np.ndarra
     return np.sort(rng.choice(total, budget, replace=False, shuffle=False))
 
 
+def _subset_keys(m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys:
+    """Keys of `spec` per subset: rows of task indices to higher-better model keys.
+
+    Each call scores its subsets in one call of the kernel for `spec`, whose
+    keys order and tie the models exactly as `aggregate` does.  A subset is
+    settled by the scalar `aggregate` instead, with minus its ranks as keys,
+    when the scheme has no kernel or its factory declines the matrix, when
+    it touches a missing cell, where that call raises the scalar path's
+    MissingScoreError, or when a kernel key is not finite, where an overflow
+    would tie models and the scalar path raises its DomainError.  Key
+    columns follow the matrix's model rows.
+    """
+    x, missing = oriented_array(m)
+    col_missing = missing.any(axis=0)
+    factory = BATCHED.get(spec.method, lambda *_: None)
+    # Without a kernel every key is NaN, so every subset takes the scalar path.
+    kernel = factory(x, m, spec) or (lambda idx: np.full((len(idx), m.n_models), np.nan))
+
+    def keys(idx: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # a median kernel (a + b) / 2 of huge scores
+            out = kernel(idx)
+        scalar = col_missing[idx].any(axis=1) | ~np.isfinite(out).all(axis=1)
+        for row in np.flatnonzero(scalar).tolist():
+            entries = aggregate(m, tuple(m.task_ids[j] for j in idx[row].tolist()), spec).entries
+            out[row] = [-entries[mid] for mid in m.model_ids]
+        return out
+
+    return keys
+
+
 def _subset_codes(
     m: ScoreMatrix, spec: AggregationSpec, subsets: np.ndarray, k: int
 ) -> np.ndarray:
     """Top-k codes (see `_CodedTopK`) of the subsets, rows of task indices.
 
-    Each chunk of subsets is scored in one call of the kernel for `spec`,
-    whose keys order and tie the models exactly as `aggregate` does.  A
-    subset is settled by the scalar `aggregate` instead, with minus its
-    ranks as keys, when the scheme has no kernel or its factory declines the
-    matrix, when it touches a missing cell, where that call raises the
-    scalar path's MissingScoreError, or when a kernel key is not finite,
-    where an overflow would tie models and the scalar path raises its
-    DomainError.  The key columns are then put in the order of the model
-    ids, and each row's models sorted once by key, stably, so equal keys
-    form a tie group ordered by id.
+    Each chunk of subsets is scored by `_subset_keys`.  The key columns are
+    then put in the order of the model ids, and each row's models sorted
+    once by key, stably, so equal keys form a tie group ordered by id.
     """
     n = m.n_models
     by_id = np.array(sorted(range(n), key=m.model_ids.__getitem__), dtype=np.intp)
-    x, missing = oriented_array(m)
-    col_missing = missing.any(axis=0)
-    factory = BATCHED.get(spec.method, lambda *_: None)
-    # Without a kernel every key is NaN, so every subset takes the scalar path.
-    subset_keys = factory(x, m, spec) or (lambda idx: np.full((len(idx), n), np.nan))
+    subset_keys = _subset_keys(m, spec)
     dtype = np.min_scalar_type(-n * n)
     chunks = []
     for start in range(0, len(subsets), _CHUNK):
-        idx = subsets[start:start + _CHUNK]
-        with np.errstate(over="ignore"):  # a median kernel (a + b) / 2 of huge scores
-            keys = subset_keys(idx)
-        scalar = col_missing[idx].any(axis=1) | ~np.isfinite(keys).all(axis=1)
-        for row in np.flatnonzero(scalar).tolist():
-            entries = aggregate(m, tuple(m.task_ids[j] for j in idx[row].tolist()), spec).entries
-            keys[row] = [-entries[mid] for mid in m.model_ids]
-        keys = keys[:, by_id]
+        keys = subset_keys(subsets[start:start + _CHUNK])[:, by_id]
         order = np.argsort(-keys, axis=1, kind="stable")
         ranked = np.take_along_axis(keys, order, axis=1)
         group = np.zeros_like(order)
@@ -299,18 +312,21 @@ def subset_tau_profile(
 ) -> dict[tuple[str, ...], float | None]:
     """Kendall tau-b of each subset's ranking against the all-task ranking.
 
-    A subset whose correlation is undefined (an entirely tied ranking)
-    maps to None rather than aborting the profile.
+    Every ranking is scored through the audit's keys (`_subset_keys`), and
+    every subset checked as `aggregate` checks it.  A subset whose
+    correlation is undefined (an entirely tied ranking) maps to None rather
+    than aborting the profile.
     """
-    full = aggregate(m, None, spec)
-    out: dict[tuple[str, ...], float | None] = {}
-    for subset in subsets:
-        key = tuple(subset)
-        try:
-            out[key] = kendall_tau_b(full, aggregate(m, key, spec))
-        except UndefinedCorrelationError:
-            out[key] = None
-    return out
+    check_spec_tasks(m, spec)
+    keys = _subset_keys(m, spec)
+    full = _keys_of(m, keys, None)
+    return {tuple(subset): tau_b(full, _keys_of(m, keys, subset)) for subset in subsets}
+
+
+def _keys_of(m: ScoreMatrix, keys: SubsetKeys, subset: Sequence[str] | None) -> np.ndarray:
+    """The models' keys on one subset (None for all tasks), checked as `aggregate` checks it."""
+    idx = [m.task_index(t) for t in _checked_tasks(m, subset)]
+    return keys(np.array([idx], dtype=np.intp))[0]
 
 
 def topk_table(
@@ -334,14 +350,13 @@ def aggregator_agreement(
     """Symmetric tau-b matrix across the rankings of several schemes."""
     if len(specs) < 2:
         raise ConfigError("aggregator agreement needs at least two specs")
-    rankings = [aggregate(m, subset, spec) for spec in specs]
-    n = len(rankings)
-    out = [[1.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            tau = kendall_tau_b(rankings[i], rankings[j])
-            out[i][j] = tau
-            out[j][i] = tau
+    rows = []
+    for spec in specs:
+        check_spec_tasks(m, spec)
+        rows.append(_keys_of(m, _subset_keys(m, spec), subset))
+    out = [[tau_b(a, b) for b in rows] for a in rows]
+    if any(None in row for row in out):
+        raise UndefinedCorrelationError("tau-b undefined: one side is entirely tied")
     return out
 
 

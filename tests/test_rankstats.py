@@ -21,6 +21,7 @@ from rankaudit.ranking import (
     fractional_ranks,
     kendall_tau_b,
     rank_models,
+    tau_b,
     top_k,
 )
 from rankaudit.rankstats import (
@@ -73,13 +74,18 @@ def test_rankstats_exports_only_what_it_defines():
 # -- oracles ------------------------------------------------------------------
 
 
-def tau_b_oracle(a: Ranking, b: Ranking) -> float:
-    """Textbook O(n^2) pair count: tau_b = (nc - nd) / sqrt((nc+nd+tb)(nc+nd+ta))."""
-    models = sorted(a.entries)
+def tau_b_oracle(a, b) -> float | None:
+    """Textbook O(n^2) pair count: tau_b = (nc - nd) / sqrt((nc+nd+tb)(nc+nd+ta)).
+
+    a and b are two Rankings or two key vectors; None if one side is all tied.
+    """
+    if isinstance(a, Ranking):
+        models = sorted(a.entries)
+        a, b = [a.entries[m] for m in models], [b.entries[m] for m in models]
     nc = nd = tied_a_only = tied_b_only = 0
-    for i, j in combinations(range(len(models)), 2):
-        da = a.entries[models[i]] - a.entries[models[j]]
-        db = b.entries[models[i]] - b.entries[models[j]]
+    for i, j in combinations(range(len(a)), 2):
+        da = a[i] - a[j]
+        db = b[i] - b[j]
         if da == 0 and db == 0:
             continue
         if da == 0:
@@ -90,8 +96,8 @@ def tau_b_oracle(a: Ranking, b: Ranking) -> float:
             nc += 1
         else:
             nd += 1
-    denom = sqrt((nc + nd + tied_a_only) * (nc + nd + tied_b_only))
-    return (nc - nd) / denom
+    product = (nc + nd + tied_a_only) * (nc + nd + tied_b_only)
+    return (nc - nd) / sqrt(product) if product else None
 
 
 def random_ranking(rng, n, with_ties):
@@ -205,6 +211,38 @@ def test_tau_never_leaves_the_unit_interval(values):
     except UndefinedCorrelationError:
         return
     assert -1.0 <= tau <= 1.0
+    assert kendall_tau_b(a, a) == 1.0
+
+
+KEYS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[st.lists(KEYS, min_size=n, max_size=n)] * 2)))
+def test_tau_b_on_key_vectors_equals_the_oracle(keys):
+    # equal floats, or None on both sides; -0.0 ties 0.0
+    assert tau_b(*keys) == tau_b_oracle(*keys)
+
+
+def test_tau_b_on_small_and_all_tied_key_vectors():
+    assert tau_b([0.0], [1.0]) is None
+    assert tau_b([0.0, 1.0], [1.0, 0.0]) == -1.0
+    assert tau_b([0.0, 1.0], [-0.0, 0.0]) is None
+    assert tau_b([-0.0, 0.0], [0.0, 1.0]) is None
+    assert tau_b([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
+    assert tau_b([1.0, -0.0, 0.0], [2.0, 1.0, 3.0]) == tau_b_oracle([1.0, -0.0, 0.0],
+                                                                  [2.0, 1.0, 3.0])
+
+
+def test_tau_on_100000_models_with_one_adjacent_swap():
+    # (n0 - n1) (n0 - n2) = n0**2 is past int64 from 77,937 models
+    n = 100_000
+    values = list(range(n))
+    values[10], values[11] = values[11], values[10]
+    a = rank_models({f"m{i}": float(i) for i in range(n)})
+    b = rank_models({f"m{i}": float(v) for i, v in enumerate(values)})
+    n0 = n * (n - 1) // 2
+    assert kendall_tau_b(a, b) == (n0 - 2) / n0
     assert kendall_tau_b(a, a) == 1.0
 
 

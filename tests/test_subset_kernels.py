@@ -19,12 +19,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankaudit import rankstats
+from rankaudit import fixtures, rankstats
 from rankaudit.aggregate import BATCHED, METHODS, AggregationSpec, aggregate, arithmetic_mean
 from rankaudit.cli import main
-from rankaudit.errors import ConfigError, DomainError, MissingScoreError
-from rankaudit.ranking import enumerate_subsets, top_k
-from rankaudit.rankstats import unique_topk_audit
+from rankaudit.errors import (
+    AuditError,
+    ConfigError,
+    DomainError,
+    MissingScoreError,
+    UndefinedCorrelationError,
+)
+from rankaudit.ranking import enumerate_subsets, kendall_tau_b, top_k
+from rankaudit.rankstats import aggregator_agreement, subset_tau_profile, unique_topk_audit
 from rankaudit.scorebank import LOWER, MetricSpec, ScoreMatrix, orient, oriented_array
 
 
@@ -463,3 +469,136 @@ def test_for_k_needs_a_smaller_k_and_coded_topks():
     assert plain.per_subset_topk == result.per_subset_topk
     with pytest.raises(ConfigError):
         plain.for_k(1)
+
+
+# -- tau profiles and scheme agreement --------------------------------------------
+#
+# Profiles and agreement score through the audit's keys.  Their oracle is the
+# per-subset route: one `aggregate` Ranking per subset and `kendall_tau_b`.
+
+
+def profile_oracle(m, spec, subsets):
+    full = aggregate(m, None, spec)
+    out = {}
+    for subset in subsets:
+        try:
+            out[tuple(subset)] = kendall_tau_b(full, aggregate(m, tuple(subset), spec))
+        except UndefinedCorrelationError:
+            out[tuple(subset)] = None
+    return out
+
+
+def agreement_oracle(m, specs, subset):
+    rankings = [aggregate(m, subset, spec) for spec in specs]
+    return [[kendall_tau_b(a, b) for b in rankings] for a in rankings]
+
+
+def outcome(fn, *args):
+    """fn's taus as float.hex (None stays None), or the type and message of its error."""
+    try:
+        result = fn(*args)
+    except AuditError as exc:
+        return type(exc), str(exc)
+    hexed = lambda tau: None if tau is None else tau.hex()
+    if isinstance(result, dict):
+        return {subset: hexed(tau) for subset, tau in result.items()}
+    return [[hexed(tau) for tau in row] for row in result]
+
+
+@st.composite
+def profile_cases(draw):
+    """A tie-heavy matrix in shuffled model rows, scheme parameters and subsets to profile."""
+    n_models = draw(st.integers(1, 30))
+    n_tasks = draw(st.integers(1, 6))
+    task_ids = [f"t{j}" for j in range(n_tasks)]
+    shift = draw(st.sampled_from([0.0, 1.0]))  # 1.0 keeps geometric means defined
+    cells = [[float(v) + shift for v in row] for row in draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=n_tasks, max_size=n_tasks),
+        min_size=n_models, max_size=n_models))]
+    if draw(st.integers(0, 4)) == 0:
+        cells[draw(st.integers(0, n_models - 1))][draw(st.integers(0, n_tasks - 1))] = None
+    lower = draw(st.one_of(st.just([]), st.lists(st.sampled_from(task_ids))))
+    grouped = task_ids[:-1] if draw(st.integers(0, 4)) == 0 else task_ids
+    metrics = {t: MetricSpec(direction=LOWER if t in lower else "higher",
+                             group=f"g{j % 2}" if t in grouped else None)
+               for j, t in enumerate(task_ids)}
+    order = draw(st.permutations(range(n_models)))
+    m = ScoreMatrix(tuple(f"m{i}" for i in order), tuple(task_ids),
+                    tuple(tuple(cells[i]) for i in order), metrics)
+    weights = draw(st.one_of(st.none(), st.dictionaries(st.sampled_from(task_ids),
+                                                        st.sampled_from([0.5, 2.0, 3.0]))))
+    params = {"bin_width": draw(st.sampled_from([0.5, 1.0, 2.5])), "weights": weights}
+    subsets = draw(st.lists(st.lists(st.sampled_from(task_ids), min_size=1, unique=True)
+                            .map(tuple), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from([("nope",), (task_ids[0], task_ids[0]), ()]))
+        subsets.insert(draw(st.integers(0, len(subsets))), bad)
+    return m, params, subsets
+
+
+@pytest.mark.parametrize("method", METHODS)
+@given(case=profile_cases())
+def test_profile_matches_the_per_subset_route(method, case):
+    m, params, subsets = case
+    spec = AggregationSpec(method, **params)
+    assert outcome(subset_tau_profile, m, spec, subsets) == outcome(profile_oracle, m, spec,
+                                                                    subsets)
+
+
+@given(case=profile_cases(), methods=st.lists(st.sampled_from(METHODS), min_size=2, max_size=4),
+       whole=st.booleans())
+def test_agreement_matches_the_per_subset_route(case, methods, whole):
+    m, params, subsets = case
+    specs = [AggregationSpec(method, **params) for method in methods]
+    subset = None if whole else subsets[-1]
+    assert outcome(aggregator_agreement, m, specs, subset) == outcome(agreement_oracle, m, specs,
+                                                                      subset)
+
+
+# name -> (spec, profile subsets, cells changed, error type); the agreement
+# pairs spec with the median on the last subset.
+ERROR_CASES = {
+    "missing cell": (AggregationSpec("average_rank"), [("t1",)], {(1, 1): None},
+                     MissingScoreError),
+    "non-positive geometric cell": (AggregationSpec("geometric_mean"), [("t0",)],
+                                    {(2, 0): 0.0}, DomainError),
+    "macro_average without groups": (AggregationSpec("macro_average"), [("t0",)], {},
+                                     ConfigError),
+    "unknown subset": (AggregationSpec(), [("t0",), ("nope",)], {}, ConfigError),
+    "duplicated subset": (AggregationSpec("median"), [("t0", "t0")], {}, ConfigError),
+    "empty subset": (AggregationSpec("elimination_ranking"), [()], {}, ConfigError),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_CASES)
+def test_profile_and_agreement_raise_like_the_per_subset_route(name):
+    spec, subsets, changes, error = ERROR_CASES[name]
+    rows = [[3.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 1.0]]
+    for (i, j), value in changes.items():
+        rows[i][j] = value
+    m = ScoreMatrix(("a", "b", "c"), ("t0", "t1", "t2"), tuple(map(tuple, rows)))
+    profile = outcome(subset_tau_profile, m, spec, subsets)
+    assert profile == outcome(profile_oracle, m, spec, subsets)
+    assert profile[0] is error
+    specs, subset = [spec, AggregationSpec("median")], subsets[-1]
+    agreement = outcome(aggregator_agreement, m, specs, subset)
+    assert agreement == outcome(agreement_oracle, m, specs, subset)
+    assert agreement[0] is error
+
+
+@pytest.mark.parametrize("method", ["arithmetic_mean", "geometric_mean"])
+def test_profile_calls_aggregate_only_for_schemes_without_a_kernel(method, scalar_calls):
+    m = fixtures.lra_matrix()
+    subset_tau_profile(m, AggregationSpec(method), [(t,) for t in m.task_ids])
+    assert len(scalar_calls) == (0 if method in BATCHED else m.n_tasks + 1)
+
+
+def test_bin_overflow_fails_only_the_subsets_that_touch_it():
+    # 1e308 / 0.5 and -1e308 / 0.5 overflow in t1 alone
+    m = build([[1.0, 1e308, 0.0], [2.0, -1e308, 1.0], [3.0, 1.0, 2.0]])
+    specs = [AggregationSpec("robust_average_rank", bin_width=0.5), AggregationSpec("median")]
+    one = (1.0).hex()
+    assert (outcome(aggregator_agreement, m, specs, ("t0", "t2"))
+            == outcome(agreement_oracle, m, specs, ("t0", "t2")) == [[one, one], [one, one]])
+    with pytest.raises(DomainError, match="'m0', task 't1'"):
+        aggregator_agreement(m, specs, ("t1",))
