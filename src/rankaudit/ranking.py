@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -159,24 +158,31 @@ def tau_b(a: Sequence[float], b: Sequence[float]) -> float | None:
     O(n^2) definition lives in the test suite as the independent oracle.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    ka, kb = a.tolist(), b.tolist()
-    n = len(ka)
+    n = len(a)
     n0 = n * (n - 1) // 2
-    n1, n2 = _tied_pairs(ka), _tied_pairs(kb)
+    n1, n2 = _tied_pairs(np.sort(a)), _tied_pairs(np.sort(b))
     if n0 == n1 or n0 == n2:
         return None
     # With b sorted by (a, b), equal-a runs arrive sorted by b and contribute
     # no strict b-inversions, and pairs tied in b never invert; every
     # remaining strict inversion is exactly one discordant pair.
-    nd = _strict_inversions(b[np.lexsort((b, a))])
-    nc = n0 - n1 - n2 + _tied_pairs(zip(ka, kb)) - nd
+    order = np.lexsort((b, a))
+    nd = _strict_inversions(b[order])
+    nc = n0 - n1 - n2 + _tied_pairs(a[order], b[order]) - nd
     # sqrt of an exact integer product, correctly rounded: |tau| <= 1, tau(a, a) == 1.0.
     return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
 
 
-def _tied_pairs(keys: Iterable[Hashable]) -> int:
-    """Pairs of equal keys: c(c-1)/2 summed over each key's count c."""
-    return sum(c * (c - 1) // 2 for c in Counter(keys).values())
+def _tied_pairs(*columns: np.ndarray) -> int:
+    """Pairs of rows equal in every column, the rows sorted so equal ones are adjacent.
+
+    c(c-1)/2 summed over the length c of each run of equal rows; equality
+    is float ==, so -0.0 ties 0.0, and sorting keeps the two adjacent.
+    """
+    edges = np.ones(len(columns[0]) + 1, dtype=bool)
+    edges[1:-1] = np.any([col[1:] != col[:-1] for col in columns], axis=0)
+    runs = np.diff(np.flatnonzero(edges))
+    return int(np.sum(runs * (runs - 1) // 2))
 
 
 def _strict_inversions(seq: np.ndarray) -> int:

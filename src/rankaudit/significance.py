@@ -12,6 +12,7 @@ Monte-Carlo path is seeded and reports its seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping, Sequence
@@ -177,9 +178,11 @@ def permutation_test(
     uniform reassignments estimate the p-value with the +1 correction, so
     p stays in (0, 1]. They are drawn as side a's sum alone from per-block
     subset-sum tables, built by the same `_sums_by_size`, of a canonical
-    pool, each side's replicates sorted (`_side_a_sums`), so p does not
-    depend on the order the replicates are listed in. Both branches score
-    a reassignment by the same statistic of side a's sum.
+    pool, each side's replicates sorted, so p does not depend on the order
+    the replicates are listed in. Each block draws its count from one
+    uniform and an exact inverse CDF table, and its subset from a second
+    uniform (`_side_a_sums`, which states the rounding bounds). Both
+    branches score a reassignment by the same statistic of side a's sum.
     A side whose sum overflows the float range is a DomainError, and so
     is a pooled sum of the positive or of the negative values that does:
     it bounds the sum of every reassignment.
@@ -256,31 +259,113 @@ def _side_a_sums(pool: np.ndarray, na: int, samples: int,
                  rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Sums of `samples` uniform random na-subsets of `pool`, `_MC_CHUNK` at a time.
 
-    The pool is cut into consecutive blocks of at most `_MC_BLOCK` values,
-    each with its table of every subset sum, grouped by subset size; the
-    c-subsets of a block are `table[first[c]:first[c + 1]]`. A sample visits
-    the blocks in order: a block takes a hypergeometric count of the values
-    still to take, drawn against the values after it (the last block takes
-    the rest), and then one subset of that size, uniform over its table.
-    The counts of a uniform na-subset across the blocks are multivariate
-    hypergeometric and, given them, each block's part is uniform, so every
-    na-subset is drawn with probability 1 / C(len(pool), na).
+    A sample visits the `_blocks` of the pool in order, with `left` values
+    still to take. Each block but the last draws its count from one
+    uniform (`_Counts`); the last block takes the rest. The block then
+    adds one subset sum of that size c, the one at
+    first[c] + floor(u * C(width, c)) for a second uniform u. The counts of
+    a uniform na-subset across the blocks are multivariate hypergeometric
+    and, given them, each block's part is uniform, so every na-subset is
+    drawn with probability 1 / C(len(pool), na) up to rounding: each count
+    within 2**-53 of its exact probability (2**-bits in `_Counts` past
+    1,023 lefts), and each subset of a group within 2**-52 of
+    1 / C(width, c). u is a multiple of 2**-53 below 1, so u * C(width, c)
+    rounds below C(width, c) and moves at most one such multiple across
+    each whole number.
+    """
+    blocks = _blocks(pool, na)
+    for done in range(0, samples, _MC_CHUNK):
+        n = min(_MC_CHUNK, samples - done)
+        left = np.full(n, na)
+        sums = np.zeros(n)
+        for table, first, sizes, counts in blocks:
+            take = left
+            if counts is not None:
+                take = counts.draw(left, rng.random(n))
+                left = left - take
+            sums += table[first[take] + (rng.random(n) * sizes[take]).astype(np.intp)]
+        yield sums
+
+
+def _blocks(pool: np.ndarray, na: int) -> list[tuple]:
+    """The Monte-Carlo sampler's blocks of `pool`, for na-subsets of it.
+
+    Consecutive blocks of at most `_MC_BLOCK` values. Each holds the table
+    of every subset sum, grouped by subset size (the c-subsets are
+    `table[first[c]:first[c] + sizes[c]]`), and, but for the last block,
+    the `_Counts` of how many values it takes. The block at `start` meets
+    each `left` from max(0, na - start) to min(na, len(pool) - start).
     """
     blocks = []
     for start in range(0, len(pool), _MC_BLOCK):
         values = pool[start:start + _MC_BLOCK]
         by_size = _sums_by_size(values, 0, len(values))
-        first = np.cumsum([0] + [len(sums) for sums in by_size])
-        blocks.append((len(values), len(pool) - start - len(values),
-                       np.concatenate(by_size), first))
-    for done in range(0, samples, _MC_CHUNK):
-        left = np.full(min(_MC_CHUNK, samples - done), na)
-        sums = np.zeros(len(left))
-        for width, after, table, first in blocks:
-            take = rng.hypergeometric(width, after, left) if after else left
-            sums += table[rng.integers(first[take], first[take + 1])]
-            left -= take
-        yield sums
+        sizes = np.array([len(sums) for sums in by_size])
+        after = len(pool) - start - len(values)
+        lefts = min(na, len(pool) - start) - max(0, na - start) + 1
+        counts = _Counts(len(values), after, lefts) if after else None
+        blocks.append((np.concatenate(by_size), np.cumsum(sizes) - sizes, sizes, counts))
+    return blocks
+
+
+class _Counts:
+    """How many of the `left` values still to take a block takes, by inverse CDF.
+
+    A block of `width` values, with `after` values after it, takes c of
+    them with probability C(width, c) C(after, left - c) / C(width + after, left).
+    The row of a `left` (`rows`) holds the cuts round(2**bits P(count <= c))
+    for c = 0 .. width - 1, each one correctly rounded division of exact
+    integers, so they hold for any pool size. A draw's count is the number
+    of its row's cuts at or below k = floor(u 2**bits) for a uniform u, so
+    each count is drawn with probability within 2**-bits of the exact one.
+    bits is 53 for a block that meets fewer than 1,024 values of `left`
+    (`lefts`), and one less for each doubling past that, so keys stay in
+    int64.
+
+    Each row is built once, when a draw first meets its `left`: `cuts`
+    holds the rows of the lefts from `lo` up, the range met so far, row
+    r = left - lo offset by r << bits, so one `searchsorted` of
+    (r << bits) + k counts the cuts of row r and of every earlier row.
+    Rows for every left a block can meet would number O(len(pool)**2) over
+    all blocks; the lefts drawn spread over a few standard deviations.
+    """
+
+    def __init__(self, width: int, after: int, lefts: int) -> None:
+        self.width, self.after = width, after
+        self.bits = min(53, 63 - lefts.bit_length())
+        self.lo, self.cuts = 0, None
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The cuts of each `left` from lo to hi, one row each."""
+        w, a = self.width, self.after
+        rows = []
+        for left in range(lo, hi + 1):
+            # C(width, c) C(after, left - c) times left! (after - left + width)! / after!,
+            # the same for every c: products of at most `width` factors, so
+            # they stay small for any pool size, and zero off the support
+            ways = [math.comb(w, c) * math.prod(range(left - c + 1, left + 1))
+                    * math.prod(range(a - left + c + 1, a - left + w + 1))
+                    for c in range(w + 1)]
+            total = sum(ways)
+            rows.append([((below << self.bits) + total // 2) // total
+                         for below in itertools.accumulate(ways[:w])])
+        return np.array(rows, dtype=np.int64).reshape(-1, w)
+
+    def draw(self, left: np.ndarray, u: np.ndarray) -> np.ndarray:
+        lo, hi = int(left.min()), int(left.max())
+        if self.cuts is None:
+            self.lo, self.cuts = lo, np.zeros((0, self.width), dtype=np.int64)
+        top = self.lo + len(self.cuts)
+        if lo < self.lo or hi >= top:
+            table = self.cuts - self._offsets(len(self.cuts))
+            table = np.concatenate([self.rows(lo, self.lo - 1), table, self.rows(top, hi)])
+            self.lo, self.cuts = min(lo, self.lo), table + self._offsets(len(table))
+        row = left - self.lo
+        key = (row << self.bits) + (u * 2.0**self.bits).astype(np.int64)
+        return np.searchsorted(self.cuts.ravel(), key, side="right") - row * self.width
+
+    def _offsets(self, rows: int) -> np.ndarray:
+        return (np.arange(rows, dtype=np.int64) << self.bits)[:, None]
 
 
 def per_dataset_tests(

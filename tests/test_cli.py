@@ -602,9 +602,9 @@ def test_compare_monte_carlo_rows_are_pinned(tmp_path, capsys):
     assert [t["exact"] for t in per_dataset] == [False] * len(shapes)
     block = json.dumps(per_dataset, sort_keys=True).encode()
     json_digest = hashlib.sha256(block).hexdigest()
-    assert json_digest == "cfce494569c94de339372c2038472157f17555a58e952bbf771be3da3269d8dd"
+    assert json_digest == "af208c2a3bbf90353dc2be960ea23ab886169fb9b9fd045c21764b8cf1000dac"
     csv_digest = hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest()
-    assert csv_digest == "347d9620194ed22125fcb7c18a1d7276900896bd55bf08ed3e551bea06569b23"
+    assert csv_digest == "4f004ee4f02dc7b84d24473ddf0f8b4e3df932881bd6ffd64a2b61ee3c5c5a10"
 
 
 def test_compare_mixed_holm_subset(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb, sqrt
 
@@ -528,6 +529,112 @@ def test_side_a_sums_yields_exactly_the_samples_asked():
     sums = np.concatenate(chunks)
     # twelve of 0..23 sum to an integer between 0+...+11 and 12+...+23
     assert np.all((sums == np.round(sums)) & (sums >= 66) & (sums <= 210))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 3, significance._MC_BLOCK])
+def test_count_tables_are_the_exact_hypergeometric_within_the_bound(block, blocks,
+                                                                   monkeypatch):
+    # Not the seeded stream: the probability of each count that a block's
+    # draw implies, for every na and every `left` the block can meet,
+    # against the exact hypergeometric value. A draw's count is the number
+    # of its row's cuts at or below k, checked at k = cut - 1 and k = cut;
+    # count c then has probability (cut c - cut c-1) / 2**bits. The last
+    # block is one value short.
+    monkeypatch.setattr(significance, "_MC_BLOCK", block)
+    size = block * (blocks - 1) + max(1, block - 1)
+    pool = np.arange(float(size))
+    for na in range(1, size):
+        sampler_blocks = significance._blocks(pool, na)
+        assert len(sampler_blocks) == blocks
+        for i, (_, _, sizes, counts) in enumerate(sampler_blocks):
+            start, width = i * block, len(sizes) - 1
+            after = size - start - width
+            if not after:
+                assert counts is None
+                continue
+            assert counts.bits == 53
+            lefts = [na - j for j in range(start + 1) if 0 <= na - j <= size - start]
+            for left in lefts:
+                row = counts.rows(left, left)[0].tolist()
+                keys = np.array([k for cut in row for k in (cut - 1, cut)
+                                 if 0 <= k < 1 << 53])
+                drawn = counts.draw(np.full(len(keys), left), keys * 2.0**-53)
+                assert drawn.tolist() == np.searchsorted(row, keys, side="right").tolist()
+                cdf = [0, *row, 1 << 53]
+                for c in range(width + 1):
+                    exact = Fraction(comb(width, c) * comb(after, left - c) if c <= left
+                                     else 0, comb(width + after, left))
+                    drawn_p = Fraction(cdf[c + 1] - cdf[c], 1 << 53)
+                    assert abs(drawn_p - exact) <= Fraction(1, 1 << 53)
+
+
+def test_counts_keep_keys_in_int64_past_1024_lefts():
+    # A block of one value of 2,048 leaves it out of `left` with probability
+    # (2048 - left) / 2048, a multiple of 2**-52, so the cut sits there.
+    counts = significance._Counts(1, 2047, 1024)
+    assert counts.bits == 52
+    left = np.arange(1024)
+    cut = (2048 - left) << 41
+    assert counts.rows(0, 1023)[:, 0].tolist() == cut.tolist()
+    below = counts.draw(left, (cut - 1) * 2.0**-52)
+    at = counts.draw(left[1:], cut[1:] * 2.0**-52)
+    assert below.tolist() == [0] * 1024 and at.tolist() == [1] * 1023
+    # Of 1,030 + 1,030 values, the block at 1,020 meets lefts 10 .. 1,030
+    # and the one at 1,032 lefts 0 .. 1,028, one past 1,023 of them.
+    blocks = significance._blocks(np.arange(2060.0), 1030)
+    assert [blocks[i][3].bits for i in (85, 86)] == [53, 52]
+
+
+def test_counts_build_only_the_rows_drawn_and_draw_alike_in_any_order():
+    u = np.random.default_rng(3).random(40)
+    left = np.arange(40) % 11 + 2  # lefts 2 .. 12
+    grown = significance._Counts(12, 30, 31)
+    grown.draw(np.full(5, 7), u[:5])
+    assert (grown.lo, len(grown.cuts)) == (7, 1)
+    assert grown.draw(left[left > 5], u[left > 5]).tolist() == significance._Counts(
+        12, 30, 31).draw(left[left > 5], u[left > 5]).tolist()
+    assert (grown.lo, len(grown.cuts)) == (6, 7)
+    fresh = significance._Counts(12, 30, 31)
+    assert grown.draw(left, u).tolist() == fresh.draw(left, u).tolist()
+    assert (grown.lo, len(grown.cuts)) == (fresh.lo, len(fresh.cuts)) == (2, 11)
+    assert np.array_equal(grown.cuts, fresh.cuts)
+
+
+def test_subset_pick_is_uniform_within_the_bound():
+    # A group of m subsets is picked as floor(u * m) for u = k / 2**53; count
+    # the k of each pick exactly. The float product may round up across one
+    # boundary, never to m itself.
+    def first_k(j, m):
+        k = -(-(j << 53) // m)
+        return k - 1 if (k - 1) * 2.0**-53 * m >= j else k
+
+    for m in sorted({comb(w, c) for w in range(1, significance._MC_BLOCK + 1)
+                     for c in range(w + 1)}):
+        ks = [0] + [first_k(j, m) for j in range(1, m)] + [1 << 53]
+        assert ((1 << 53) - 1) * 2.0**-53 * m < m
+        for j in range(1, m):
+            assert (ks[j] - 1) * 2.0**-53 * m < j <= ks[j] * 2.0**-53 * m
+        for lo, hi in zip(ks, ks[1:]):
+            assert abs(Fraction(hi - lo, 1 << 53) - Fraction(1, m)) <= Fraction(1, 1 << 52)
+
+
+@pytest.mark.parametrize("alternative", [B_GREATER, TWO_SIDED])
+@pytest.mark.parametrize("na, nb, low, high", [(5, 55, 50, 90), (40, 40, 0, 5)])
+def test_permutation_monte_carlo_matches_oracle_on_wide_pools(na, nb, low, high,
+                                                              alternative):
+    # 5+55 cuts the pool into five blocks. 40+40 has C(80, 40) >= 2**63
+    # reassignments, past any int64 rank; its values 0-4 keep the oracle
+    # cheap.
+    rng = np.random.default_rng(21)
+    a = rng.integers(low, high, size=na).astype(float).tolist()
+    b = rng.integers(low, high, size=nb).astype(float).tolist()
+    exact = subset_sum_oracle(a, b, alternative)
+    assert 0.01 < exact < 0.99
+    mc = permutation_test(a, b, alternative, exact_limit=1, seed=5)
+    assert not mc.exact
+    se = sqrt(exact * (1 - exact) / significance.PERMUTATION_MC_SAMPLES)
+    assert abs(mc.p_value - exact) <= 4 * se
 
 
 def test_permutation_monte_carlo_memory_is_bounded():
