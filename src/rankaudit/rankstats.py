@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLING_BUDGET = 10**6
-_CHUNK = 256  # subsets scored per numpy pass; bounds the kernels' working memory
-_ROWS_CHUNK = 1024  # subsets per chunk of the per-subset listing; bounds its memory
+_CELLS = 2**14  # cells per pass of the kernels or the listing; bounds their working memory
 
 
 class _CodedTopK(Mapping):
@@ -210,6 +209,11 @@ def _sampled_subsets(total: int, size: int, budget: int, seed: int) -> np.ndarra
     return np.sort(rng.choice(total, budget, replace=False, shuffle=False))
 
 
+def _chunk(n_models: int, n_tasks: int) -> int:
+    """Subsets per pass: a pass reads each subset's task cells and writes one key per model."""
+    return max(1, _CELLS // (n_models + n_tasks))
+
+
 def _subset_keys(m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys:
     """Keys of `spec` per subset: rows of task indices to higher-better model keys.
 
@@ -245,25 +249,27 @@ def _subset_codes(
 ) -> np.ndarray:
     """Top-k codes (see `_CodedTopK`) of the subsets, rows of task indices.
 
-    Each chunk of subsets is scored by `_subset_keys`.  The key columns are
-    then put in the order of the model ids, and each row's models sorted
-    once by key, stably, so equal keys form a tie group ordered by id.
+    Each chunk of `_chunk` subsets is scored by `_subset_keys`.  The key
+    columns are then put in the order of the model ids, and each row's
+    models sorted once by key, stably, so equal keys form a tie group
+    ordered by id.
     """
     n = m.n_models
     by_id = np.array(sorted(range(n), key=m.model_ids.__getitem__), dtype=np.intp)
     subset_keys = _subset_keys(m, spec)
     dtype = np.min_scalar_type(-n * n)
+    chunk = _chunk(n, m.n_tasks)
     chunks = []
-    for start in range(0, len(subsets), _CHUNK):
-        keys = subset_keys(subsets[start:start + _CHUNK])[:, by_id]
+    for start in range(0, len(subsets), chunk):
+        keys = subset_keys(subsets[start:start + chunk])[:, by_id]
         order = np.argsort(-keys, axis=1, kind="stable")
         ranked = np.take_along_axis(keys, order, axis=1)
         group = np.zeros_like(order)
         np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=group[:, 1:])
         chunks.append(_top((group * n + order).astype(dtype), n, k))
     codes = np.full((len(subsets), max(c.shape[1] for c in chunks)), -1, dtype=dtype)
-    for start, chunk in zip(range(0, len(subsets), _CHUNK), chunks):
-        codes[start:start + len(chunk), :chunk.shape[1]] = chunk
+    for start, part in zip(range(0, len(subsets), chunk), chunks):
+        codes[start:start + len(part), :part.shape[1]] = part
     return codes
 
 
@@ -389,10 +395,11 @@ def _audit_rows(results: Sequence[SubsetAuditResult]) -> Iterator[Iterator[tuple
     ids with "+"; topk joins the tie groups, best first, with ";" and the
     sorted model ids of a group with "|".  Rows run over the audit's
     subsets in order and, for each subset, over `results` in order.  Each
-    chunk renders _ROWS_CHUNK subsets straight from their rows of codes,
-    whose models already follow id order inside a tie group, so its memory
-    is bounded by the chunk: a cell is one join of strings picked by fancy
-    indexing from an object array.
+    chunk renders `_chunk` subsets, sized in cells as the audit's kernel
+    passes are, straight from their rows of codes, whose models already
+    follow id order inside a tie group, so its memory is bounded by the
+    chunk: a cell is one join of strings picked by fancy indexing from an
+    object array.
     """
     coded = [r.per_subset_topk for r in results]
     first = coded[0]
@@ -403,8 +410,9 @@ def _audit_rows(results: Sequence[SubsetAuditResult]) -> Iterator[Iterator[tuple
     # group) or ";" (next group); model n is the padding, ""
     pieces = np.array([[sep + mid for mid in (*first.model_ids, "")] for sep in ("", "|", ";")],
                       dtype=object)
-    for start in range(0, len(first), _ROWS_CHUNK):
-        stop = start + _ROWS_CHUNK
+    chunk = _chunk(n, len(tasks))
+    for start in range(0, len(first), chunk):
+        stop = start + chunk
         task_cells = list(map("+".join, tasks[first.subsets[start:stop]].tolist()))
         columns = []
         for c in coded:

@@ -335,12 +335,18 @@ def _load_csv(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatri
                 f"row {row_no}: expected {len(task_ids) + 1} cells, got {len(row)}"
             )
         model_ids.append(row[0].strip())
-        rows.append(
-            tuple(
-                _parse_cell(cell, row_no, task_ids[j])
-                for j, cell in enumerate(row[1:])
-            )
-        )
+        # A row of finite numbers parses in one pass (float ignores surrounding
+        # whitespace).  A row with a blank, unparsable or non-finite cell is
+        # parsed cell by cell, for its missing cells or its first bad cell.
+        try:
+            values = tuple(map(float, row[1:]))
+            clean = all(map(math.isfinite, values))
+        except ValueError:
+            clean = False
+        if not clean:
+            values = tuple(_parse_cell(cell, row_no, task_ids[j])
+                           for j, cell in enumerate(row[1:]))
+        rows.append(values)
     return ScoreMatrix(tuple(model_ids), task_ids, tuple(rows), dict(metrics or {}))
 
 

@@ -547,21 +547,35 @@ def listing_cases(draw):
     return matrix(scores, model_ids, task_ids), size, ks
 
 
+def listing_at_budget(m, spec, size, ks, cells):
+    """The audit's `for_k` results and listing rows with `cells` as the cell budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rankstats, "_CELLS", cells)
+        audit = unique_topk_audit(m, spec, size, max(ks))
+        results = [audit.for_k(k) for k in ks]
+        return results, list(chain.from_iterable(rankstats._audit_rows(results)))
+
+
 @pytest.mark.parametrize("method", ["arithmetic_mean", "average_rank"])
-@given(case=listing_cases())
-def test_listing_matches_the_decoded_renderer(method, case):
+@given(case=listing_cases(), cells=st.sampled_from([1, 16]))
+def test_listing_matches_the_decoded_renderer(method, case, cells):
     m, size, ks = case
     spec = AggregationSpec(method)
-    audit = unique_topk_audit(m, spec, size, max(ks))
-    results = [audit.for_k(k) for k in ks]
+    results, listed = listing_at_budget(m, spec, size, ks, cells)
     for result in results:
         coded = result.per_subset_topk
         for subset, code in zip(coded, coded.codes):
             assert coded.decode(code) == top_k(aggregate(m, subset, spec), result.k)
     expected = reference_listing(results)
-    listed = list(chain.from_iterable(rankstats._audit_rows(results)))
     assert listed == expected
     assert csv_bytes(listed) == csv_bytes(expected)
+    # one or a few subsets per pass give the default budget's codes and rows
+    default, default_listed = listing_at_budget(m, spec, size, ks, rankstats._CELLS)
+    for result, other in zip(results, default):
+        codes, other_codes = result.per_subset_topk.codes, other.per_subset_topk.codes
+        assert codes.dtype == other_codes.dtype and codes.shape == other_codes.shape
+        assert codes.tobytes() == other_codes.tobytes()
+    assert listed == default_listed
 
 
 class _Discard:
@@ -572,7 +586,8 @@ class _Discard:
 def test_listing_memory_is_bounded_by_the_chunk():
     # 12,870 subsets x 4 ks = 51,480 rows.  Holding every row took 8.3 MB
     # (tracemalloc, Python 3.11, numpy 2.4); writing them chunk by chunk
-    # peaked at 1.2 MB, as each chunk holds _ROWS_CHUNK = 1024 subsets.
+    # peaked at 1.2 MB, as each chunk held 1,024 subsets; it now holds
+    # _CELLS // (50 + 16) = 248.
     s = np.random.default_rng(0).random((50, 16))
     m = matrix(s.tolist(), [f"m{i}" for i in range(50)], [f"t{j}" for j in range(16)])
     audit = unique_topk_audit(m, AggregationSpec("arithmetic_mean"), 8, 10)
@@ -590,6 +605,23 @@ def test_listing_memory_is_bounded_by_the_chunk():
     assert len(rows) == 4 * 12870
     assert peak < 2 * 10**6
     assert 4 * peak < held
+
+
+@pytest.mark.parametrize("method", ["arithmetic_mean", "median"])
+def test_audit_memory_is_bounded_by_the_cell_budget(method):
+    # At 2,000 models a chunk of 256 subsets peaked at 33.4 MB (mean) and
+    # 65.8 MB (median) under tracemalloc (Python 3.11, numpy 2.4).  A chunk
+    # of _CELLS // (2000 + 12) = 8 subsets peaks at 1.6 and 2.3 MB.
+    s = np.random.default_rng(0).random((2000, 12))
+    m = matrix(s.tolist(), [f"m{i}" for i in range(2000)], [f"t{j}" for j in range(12)])
+    tracemalloc.start()
+    try:
+        result = unique_topk_audit(m, AggregationSpec(method), 6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.evaluated == comb(12, 6)
+    assert peak < 8 * 10**6
 
 
 # -- tau profile ------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from rankaudit import fixtures
 from rankaudit.errors import (
+    AuditError,
     ConfigError,
     MissingScoreError,
     ParseError,
@@ -177,6 +180,64 @@ def test_metrics_sidecar_round_trip():
     assert metrics["t2"].human_reference == 0.9
     with pytest.raises(SchemaError):
         load_metrics(json.dumps({"tasks": {"t1": {"bogus": 1}}}))
+
+
+def per_cell_load(text):
+    """The CSV loader with every cell parsed on its own: `load_matrix`'s oracle."""
+    reader = csv.reader(io.StringIO(text))
+    task_ids = tuple(h.strip() for h in next(reader)[1:])
+    model_ids, rows = [], []
+
+    def parse(cell, row_no, column):
+        cell = cell.strip()
+        if not cell:
+            return None
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"row {row_no}, column {column!r}: cannot parse {cell!r} as a number"
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"row {row_no}, column {column!r}: non-finite value {cell!r}")
+        return value
+
+    for row_no, row in enumerate(reader, start=2):
+        model_ids.append(row[0].strip())
+        rows.append(tuple(parse(cell, row_no, task_ids[j]) for j, cell in enumerate(row[1:])))
+    return ScoreMatrix(tuple(model_ids), task_ids, tuple(rows))
+
+
+def loaded_or_error(load, text):
+    """Model ids, task ids and the repr of every score (so -0.0 != 0.0), or the error."""
+    try:
+        m = load(text)
+    except AuditError as exc:
+        return type(exc), str(exc)
+    return m.model_ids, m.task_ids, repr(m.scores)
+
+
+# Float reprs, with whitespace that str.strip removes around them ("\x1c" is
+# whitespace to str.strip but not to float), blanks, and cells to report.
+SPACES = st.sampled_from(["", " ", "\t", "  ", "\x1c", "\u3000"])
+CELLS = st.one_of(
+    st.builds(lambda a, x, b: a + repr(x) + b, SPACES, st.floats(allow_nan=False,
+                                                                allow_infinity=False), SPACES),
+    st.builds(lambda a, x, b: a + x + b, SPACES,
+              st.sampled_from(["", "-0", "1_0", "inf", "-inf", "nan", "oops", "1e", "1__0",
+                               "0x10", "--1"]), SPACES),
+)
+
+
+@given(data=st.data())
+def test_csv_loader_matches_the_per_cell_loop(data):
+    n_models, n_tasks = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    cells = st.lists(CELLS, min_size=n_tasks, max_size=n_tasks)
+    lines = ["model," + ",".join(f"t{j}" for j in range(n_tasks))]
+    lines += [f"m{i}," + ",".join(data.draw(cells)) for i in range(n_models)]
+    text = "\n".join(lines) + "\n"
+    expected = loaded_or_error(per_cell_load, text)
+    assert loaded_or_error(lambda t: load_matrix(t, "csv"), text) == expected
 
 
 # -- round trips -----------------------------------------------------------

@@ -383,12 +383,40 @@ def test_for_k_matches_a_direct_audit_and_the_oracle(method, data):
             assert_same_audit(cut, direct, oracle(m, spec, subsets, cut.k))
 
 
+def with_a_missing_cell(m, i, j):
+    scores = [list(row) for row in m.scores]
+    scores[i][j] = None
+    return ScoreMatrix(m.model_ids, m.task_ids, tuple(map(tuple, scores)), m.metrics)
+
+
+def audit_at_budget(m, spec, size, k, cells):
+    """The audit with `cells` as its cell budget, or the type and message of its error."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rankstats, "_CELLS", cells)
+        try:
+            return unique_topk_audit(m, spec, size, k)
+        except AuditError as exc:
+            return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("method", METHODS)
 @given(data=st.data())
 def test_codes_decode_to_the_oracle_topks(method, data):
     m, spec, size, k = data.draw(tied_cases(method))
-    result = unique_topk_audit(m, spec, size, k)
+    # Budgets of 1 and 16 cells score one or a few subsets per pass; the
+    # codes must not depend on it.  A missing cell fails every budget alike.
+    cells = data.draw(st.sampled_from([1, 16]))
+    if data.draw(st.booleans()):
+        holey = with_a_missing_cell(m, data.draw(st.integers(0, m.n_models - 1)),
+                                    data.draw(st.integers(0, m.n_tasks - 1)))
+        failed = audit_at_budget(holey, spec, size, k, cells)
+        assert failed[0] is MissingScoreError
+        assert failed == audit_at_budget(holey, spec, size, k, rankstats._CELLS)
+    result = audit_at_budget(m, spec, size, k, cells)
+    default = unique_topk_audit(m, spec, size, k).per_subset_topk.codes
     coded = result.per_subset_topk
+    assert coded.codes.dtype == default.dtype and coded.codes.shape == default.shape
+    assert coded.codes.tobytes() == default.tobytes()
     expected = oracle(m, spec, list(enumerate_subsets(m.task_ids, size)), k)
     assert [coded.decode(row) for row in coded.codes] == list(expected.values())
     # equal Top-k <=> equal code row: the distinct rows are the distinct outcomes
@@ -437,7 +465,7 @@ def test_for_k_on_chunks_of_different_code_widths(monkeypatch, scalar_calls):
     # m0 and m1 differ only on t1, so they tie in every subset without t1.
     # Two subsets per chunk, and boundary ties give the chunks different code
     # widths, which the audit pads to one.
-    monkeypatch.setattr(rankstats, "_CHUNK", 2)
+    monkeypatch.setattr(rankstats, "_CELLS", 16)
     rows = [[0.9, 0.8, 0.5, 0.5],
             [0.9, 0.2, 0.5, 0.5],
             [0.3, 0.1, 0.4, 0.1],
