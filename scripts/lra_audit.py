@@ -41,16 +41,14 @@ def main() -> int:
     print("\n# rankaudit aggregate --matrix lra_scores.csv --metrics lra_metrics.json\n")
 
     print("unique Top-3 outcomes per subset size (A distinct of B subsets):")
-    for size in range(1, m.n_tasks + 1):
-        audit = unique_topk_audit(m, MEAN, size, 3)
-        print(f"  size {size}: {audit.unique_count} / {audit.total_combinations}")
+    audits = [unique_topk_audit(m, MEAN, size, 3) for size in range(1, m.n_tasks + 1)]
+    for audit in audits:
+        print(f"  size {audit.subset_size}: {audit.unique_count} / {audit.total_combinations}")
     print("\n# rankaudit audit --matrix ... --ks 3\n")
 
     print("Top-3 per single task:")
-    for size in (1,):
-        audit = unique_topk_audit(m, MEAN, size, 3)
-        for subset, tk in sorted(audit.per_subset_topk.items()):
-            print(f"  {subset[0]:<12} {tk.render()}")
+    for subset, tk in sorted(audits[0].per_subset_topk.items()):
+        print(f"  {subset[0]:<12} {tk.render()}")
     print()
 
     profile = subset_tau_profile(m, MEAN, [(t,) for t in m.task_ids])

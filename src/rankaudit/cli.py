@@ -66,6 +66,7 @@ from .util import (
 _NORMALIZE: dict[str, Callable[[ScoreMatrix], ScoreMatrix]] = {
     "none": lambda m: m, "orient": orient, "human": human_normalize,
 }
+_CURVE = ["size", "k", "unique", "total", "exact"]  # audit curve columns, one row per (size, k)
 
 
 @dataclass
@@ -222,7 +223,13 @@ def _prepare(args: argparse.Namespace, title: str) -> tuple[AuditConfig, ScoreMa
     spec = cfg.aggregation
     options = {"aggregation": spec.method, "bin_width": spec.bin_width, "weights": spec.weights,
                "groups": spec.group_map, "normalize": cfg.normalize}
-    if "sizes" in args:  # audit and report
+    if "sizes" in args:  # audit and report, checked before any size is scored
+        for size in cfg.subset_sizes:
+            _subset_total(m.n_tasks, size)
+        if min(cfg.ks) < 1:
+            raise ConfigError(f"k must be >= 1, got {min(cfg.ks)}")
+        if cfg.sampling_budget < 1:
+            raise ConfigError(f"sampling budget must be >= 1, got {cfg.sampling_budget}")
         options.update(sizes=cfg.subset_sizes, ks=cfg.ks, sampling_budget=cfg.sampling_budget)
     if "subset" in args:  # aggregate
         options.update(subset=args.subset.split(",") if args.subset else "all", topk=args.topk)
@@ -230,17 +237,13 @@ def _prepare(args: argparse.Namespace, title: str) -> tuple[AuditConfig, ScoreMa
 
 
 def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text: str,
-          csv_name: str | None = None, extra: Mapping[str, Any] | None = None,
-          listing: tuple[str, Sequence[str], Iterable[Iterable[Sequence[Any]]]] | None = None,
-          ) -> None:
+          csv_name: str | None = None, extra: Mapping[str, Any] | None = None) -> None:
     """The one output writer: render each needed format once, write it to stdout and files.
 
     With out_dir, every format goes to its file (`<basename>.txt`,
     `<basename>.json`, and csv_name or `<basename>.csv`); `fmt` picks the
     one that also goes to stdout, as the same string.  `extra` holds the
-    JSON-only top-level keys.  `listing` is a CSV file name, header and
-    chunks of rows, written chunk by chunk with out_dir and never read
-    without.
+    JSON-only top-level keys.
     """
     names = {"text": f"{basename}.txt", "json": f"{basename}.json",
              "csv": csv_name or f"{basename}.csv"}
@@ -253,10 +256,6 @@ def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text
         directory.mkdir(parents=True, exist_ok=True)
         for f, name in names.items():
             (directory / name).write_text(rendered[f])
-        if listing is not None:
-            name, header, chunks = listing
-            with open(directory / name, "w") as fh:
-                write_csv(fh, header, chunks)
     sys.stdout.write(rendered[fmt])
 
 
@@ -269,31 +268,45 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 def _audit_curve(m: ScoreMatrix, cfg: AuditConfig) -> Iterator[list[SubsetAuditResult]]:
     """The sizes x ks audits, one list in ks order per size, scored as they are read.
 
-    Every size is checked before any is scored.  Each size is scored
-    once, at the largest k; the other ks are cut from its codes.
+    Each size is scored once, at the largest k; the other ks are cut from its codes.
     """
     for size in cfg.subset_sizes:
-        _subset_total(m.n_tasks, size)
-
-    def by_size() -> Iterator[list[SubsetAuditResult]]:
-        for size in cfg.subset_sizes:
-            audit = unique_topk_audit(m, cfg.aggregation, size, max(cfg.ks),
-                                      sampling_budget=cfg.sampling_budget, seed=cfg.seed)
-            yield [audit.for_k(k) for k in cfg.ks]
-
-    return by_size()
+        audit = unique_topk_audit(m, cfg.aggregation, size, max(cfg.ks),
+                                  sampling_budget=cfg.sampling_budget, seed=cfg.seed)
+        yield [audit.for_k(k) for k in cfg.ks]
 
 
-def _add_curve(report: Report, by_size: Iterable[list[SubsetAuditResult]]) -> str:
-    """Add the audits' unique-count table to `report`; return its `size,k,unique,total` CSV.
+def _listed(by_size: Iterator[list[SubsetAuditResult]],
+            out_dir: str | None) -> Iterator[list[SubsetAuditResult]]:
+    """Each size's results, passed on once their per-subset rows are written to out_dir.
+
+    The rows go to a partial file, renamed `audit_subsets.csv` once every size is scored.
+    """
+    if out_dir is None:
+        return (yield from by_size)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    partial = Path(out_dir, "audit_subsets.csv.partial")
+    try:
+        with open(partial, "w") as fh:
+            write_csv(fh, ["size", "k", "tasks", "topk", "boundary_tied"], ())
+            for same_size in by_size:
+                write_csv(fh, None, _audit_rows(same_size))
+                yield same_size
+        partial.replace(Path(out_dir, "audit_subsets.csv"))
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _add_curve(report: Report, by_size: Iterable[list[SubsetAuditResult]]) -> tuple[str, list]:
+    """Add the audits' unique-count table to `report`; return its curve CSV and `_CURVE` rows.
 
     Each size's results are read once, so a stream of them is released size by size.
     """
-    rows = [[r.subset_size, r.k, r.unique_count, r.total_combinations,
-             "exact" if r.exact else "sampled"] for same_size in by_size for r in same_size]
-    report.add_table("Unique Top-k outcomes per subset size",
-                     ["size", "k", "unique", "total", "exact"], rows)
-    return _csv_text(["size", "k", "unique", "total"], [row[:4] for row in rows])
+    rows = [(r.subset_size, r.k, r.unique_count, r.total_combinations, r.exact)
+            for same_size in by_size for r in same_size]
+    report.add_table("Unique Top-k outcomes per subset size", _CURVE,
+                     [[*row[:4], "exact" if row[4] else "sampled"] for row in rows])
+    return _csv_text(_CURVE[:4], [row[:4] for row in rows]), rows
 
 
 def _add_ranking(report: Report, title: str, ranking: Ranking) -> list[list[Any]]:
@@ -317,15 +330,9 @@ def _add_task_taus(report: Report, title: str, m: ScoreMatrix,
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg, m, report = _prepare(args, "Task-subset disagreement audit")
-    by_size = list(_audit_curve(m, cfg))
-    csv_text = _add_curve(report, by_size)
-    summary = [{"size": r.subset_size, "k": r.k, "unique": r.unique_count,
-                "total": r.total_combinations, "exact": r.exact}
-               for same_size in by_size for r in same_size]
-    listing = (rows for same_size in by_size for rows in _audit_rows(same_size))
+    csv_text, rows = _add_curve(report, _listed(_audit_curve(m, cfg), cfg.output_dir))
     _emit(report, args.format, cfg.output_dir, "audit", csv_text, "audit_curve.csv",
-          {"audits": summary},
-          ("audit_subsets.csv", ["size", "k", "tasks", "topk", "boundary_tied"], listing))
+          {"audits": [dict(zip(_CURVE, row)) for row in rows]})
     return 0
 
 
@@ -501,7 +508,7 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg, m, report = _prepare(args, "Leaderboard fragility report")
     _add_ranking(report, "Full-benchmark ranking", aggregate(m, None, cfg.aggregation))
-    csv_text = _add_curve(report, _audit_curve(m, cfg))
+    csv_text, _ = _add_curve(report, _audit_curve(m, cfg))
     _add_task_taus(report, "Per-task tau-b vs. full ranking", m, cfg.aggregation)
     _emit(report, args.format, cfg.output_dir, "report", csv_text)
     return 0

@@ -107,10 +107,11 @@ def render_json(report: Report, extra: Mapping[str, Any] | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_csv(fh: IO[str], header: Sequence[str],
+def write_csv(fh: IO[str], header: Sequence[str] | None,
               chunks: Iterable[Iterable[Sequence[Any]]]) -> None:
-    """Write the header and then each chunk of rows to fh as CSV, chunk by chunk."""
+    """Write the header, unless None, and then each chunk of rows to fh as CSV, chunk by chunk."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
+    if header is not None:
+        writer.writerow(header)
     for rows in chunks:
         writer.writerows(rows)

@@ -17,6 +17,7 @@ import rankaudit.rankstats
 import rankaudit.report
 from rankaudit.aggregate import AggregationSpec, aggregate
 from rankaudit.cli import main
+from rankaudit.errors import MissingScoreError
 from rankaudit.fixtures import fixture_path
 from rankaudit.ranking import TopK, kendall_tau_b
 from rankaudit.rankstats import unique_topk_audit
@@ -274,6 +275,43 @@ def test_audit_scores_each_size_once(command, tied_matrix, capsys, monkeypatch):
                      "--format", "csv")
     assert code == 0
     assert calls == [(2, 3), (3, 3), (6, 3)]
+
+
+def test_audit_failing_size_leaves_no_listing(tied_matrix, tmp_path, capsys, monkeypatch):
+    # size 2's rows are written before size 3 fails; neither they nor the
+    # partial file they went to may stay behind
+    def failing(m, spec, size, k, **kwargs):
+        if size == 3:
+            raise MissingScoreError("no score for size 3")
+        return unique_topk_audit(m, spec, size, k, **kwargs)
+
+    monkeypatch.setattr(rankaudit.cli, "unique_topk_audit", failing)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "audit", "--matrix", str(tied_matrix), *TIED_ARGS,
+                            "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "no score for size 3" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["audit", "report"])
+@pytest.mark.parametrize("bad, message", [
+    # the other k (3) bounded the message when it came from the scored audit
+    (["--ks", "0,3"], "k must be >= 1, got 0"),
+    (["--budget", "0"], "sampling budget must be >= 1, got 0"),
+])
+def test_bad_k_or_budget_fails_before_any_size_is_scored(command, bad, message, tied_matrix,
+                                                         tmp_path, capsys, monkeypatch):
+    def scoring(*args, **kwargs):
+        raise AssertionError("a subset size was scored")
+
+    monkeypatch.setattr(rankaudit.cli, "unique_topk_audit", scoring)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--matrix", str(tied_matrix), "--sizes", "2",
+                            *bad, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # -- corr ---------------------------------------------------------------------
@@ -731,10 +769,13 @@ def test_report_combined_sections(capsys):
     assert "inputs" in doc["provenance"]
 
 
-def test_report_releases_each_size_before_scoring_the_next(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [["report"], ["audit"], ["audit", "--out", "{out}"]],
+                         ids=["report", "audit", "audit-out"])
+def test_report_releases_each_size_before_scoring_the_next(extra, tmp_path, capsys):
     # All 65,535 subsets of 16 tasks: holding every size's codes until the
-    # table is built peaks at 11.2 MB (tracemalloc, Python 3.11, numpy 2.4);
-    # a stream of sizes holds one or two at a time.
+    # table is built peaks at 11.2 MB for report and 11.9 MB for audit
+    # (tracemalloc, Python 3.11, numpy 2.4); a stream of sizes holds one or
+    # two at a time, and audit writes each size's listing rows before the next.
     scores = np.random.default_rng(0).random((50, 16))
     rows = ["model," + ",".join(f"t{j}" for j in range(16))]
     rows += [f"m{i}," + ",".join(map(str, r)) for i, r in enumerate(scores.tolist())]
@@ -742,13 +783,17 @@ def test_report_releases_each_size_before_scoring_the_next(tmp_path, capsys):
     matrix.write_text("\n".join(rows) + "\n")
     tracemalloc.start()
     try:
-        code = main(["report", "--matrix", str(matrix), "--format", "csv"])
+        code = main([arg.format(out=tmp_path / "out") for arg in extra]
+                    + ["--matrix", str(matrix), "--format", "csv"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 16 * 4
     assert peak < 7 * 10**6
+    if "--out" in extra:
+        with open(tmp_path / "out" / "audit_subsets.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + (2**16 - 1) * 4
 
 
 # -- output layer --------------------------------------------------------------------
