@@ -110,7 +110,8 @@ def _reports(server: HoldoutServer, packed: np.ndarray) -> np.ndarray:
     """`query_batch` on rows packed by `np.packbits(rows, axis=1)`.
 
     Padding bits are 0 on both sides, so (n - popcount(rows ^ labels)) / n
-    is the row mean of `rows == labels`, bit for bit.
+    is the row mean of `rows == labels`, bit for bit.  The ladder jumps from
+    one clearing row to the next and fills the rows between with the best so far.
     """
     disagreements = np.bitwise_count(packed ^ np.packbits(server._labels)).sum(axis=1)
     accuracies = (server.n - disagreements) / server.n
@@ -118,12 +119,14 @@ def _reports(server: HoldoutServer, packed: np.ndarray) -> np.ndarray:
     if server.mechanism == NAIVE:
         return accuracies
     best, step = server.best_reported, server.step
-    reports = np.empty(len(packed))
-    for row, accuracy in enumerate(accuracies.tolist()):
-        if accuracy >= best + step:
-            # the 1e-9 nudge makes halfway cases round up despite float noise
-            best = math.floor(accuracy / step + 0.5 + 1e-9) * step
-        reports[row] = best
+    reports = np.full(len(packed), best)
+    row = 0
+    # each rung needs a higher accuracy than the last, so a server climbs at most n + 1 of them
+    while (clears := accuracies[row:] >= best + step).any():
+        row += int(clears.argmax())
+        # the 1e-9 nudge makes halfway cases round up despite float noise
+        best = reports[row:] = math.floor(float(accuracies[row]) / step + 0.5 + 1e-9) * step
+        row += 1
     server.best_reported = best
     return reports
 
@@ -180,7 +183,9 @@ def _attacks(servers: list[HoldoutServer], i: int, seed: int) -> list[AttackRepo
 
     Candidates are drawn, scored and tallied in blocks of a multiple of 8 rows and about
     `_BLOCK_BITS` bits, read from the raw stream as one i-row draw would; the state is one
-    block and each server's vote counts, whatever i.  Each vote seeds its own `attack-aux` stream.
+    block and each server's vote counts, whatever i.  A block's kept rows are tallied in uint8
+    over groups of at most 255 rows, which no column can overflow, and each group's sums are
+    added into the uint64 counts.  Each vote seeds its own `attack-aux` stream.
     """
     if i < 1:
         raise ConfigError(f"query budget must be >= 1, got {i}")
@@ -192,9 +197,13 @@ def _attacks(servers: list[HoldoutServer], i: int, seed: int) -> list[AttackRepo
     for start in range(0, i, rows):
         candidates = _random_predictions(rng, min(rows, i - start), n)
         for s, server in enumerate(servers):
-            kept = candidates[_reports(server, candidates) > 0.5]
-            votes[s] += np.unpackbits(kept, axis=1, count=n).sum(axis=0)
+            kept = np.unpackbits(candidates[_reports(server, candidates) > 0.5], axis=1, count=n)
+            whole = len(kept) // 255 * 255  # 255 rows of 0/1 sum exactly in uint8
+            if whole:  # a block has under 255 rows once n > 1,024: skip an empty n-wide sum
+                votes[s] += kept[:whole].reshape(255, -1, n).sum(axis=0, dtype=np.uint8).sum(axis=0)
+            votes[s] += kept[whole:].sum(axis=0, dtype=np.uint8)
             counts[s] += len(kept)
+            del kept  # freed before the next block is drawn, so the heap reuses its pages
     fresh = np.random.default_rng(derive_seed(seed, "fresh-labels")).integers(
         0, 2, size=n, dtype=np.uint8
     )

@@ -336,17 +336,18 @@ def _load_csv(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatri
             )
         model_ids.append(row[0].strip())
         # A row of finite numbers parses in one pass (float ignores surrounding
-        # whitespace).  A row with a blank, unparsable or non-finite cell is
-        # parsed cell by cell, for its missing cells or its first bad cell.
+        # whitespace).  From its first blank, unparsable or non-finite cell on,
+        # a row is parsed cell by cell, for its missing cells or its first bad cell.
+        values: list[float | None] = []
         try:
-            values = tuple(map(float, row[1:]))
-            clean = all(map(math.isfinite, values))
+            values.extend(map(float, row[1:]))
         except ValueError:
-            clean = False
-        if not clean:
-            values = tuple(_parse_cell(cell, row_no, task_ids[j])
-                           for j, cell in enumerate(row[1:]))
-        rows.append(values)
+            pass  # values keeps the floats before the first unparsable cell
+        if len(values) < len(task_ids) or not all(map(math.isfinite, values)):
+            start = next((j for j, v in enumerate(values) if not math.isfinite(v)), len(values))
+            values[start:] = (_parse_cell(cell, row_no, task_ids[j])
+                              for j, cell in enumerate(row[1 + start:], start))
+        rows.append(tuple(values))
     return ScoreMatrix(tuple(model_ids), task_ids, tuple(rows), dict(metrics or {}))
 
 

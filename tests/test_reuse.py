@@ -217,10 +217,13 @@ def test_query_batch_rejects_values_other_than_0_and_1(value):
 @given(st.data())
 def test_query_batch_matches_scalar_query(data):
     # all-correct, all-wrong and (for even n) exactly-half rows sit on the
-    # ladder's boundaries; n up to 70 leaves 0 to 7 padding bits
+    # ladder's boundaries; n up to 70 leaves 0 to 7 padding bits.  Rows sorted
+    # by ascending agreement climb a rung at every step up in one batch when
+    # the step is 1/n or smaller.
     n = data.draw(st.integers(1, 70), label="n")
     mechanism = data.draw(st.sampled_from([NAIVE, LADDER]), label="mechanism")
-    step = data.draw(st.sampled_from([None, 0.5, 0.25, 0.1])) if mechanism == LADDER else None
+    step = (data.draw(st.sampled_from([None, 0.5, 0.25, 0.1, 1 / n, 1e-3, 1e-9]))
+            if mechanism == LADDER else None)
     seed = data.draw(st.integers(0, 1000), label="seed")
     batched, scalar = (new_holdout(n, mechanism, seed=seed, step=step) for _ in range(2))
     labels = batched.labels_copy()
@@ -230,7 +233,10 @@ def test_query_batch_matches_scalar_query(data):
                                max_size=8), label="rows")
     rows = data.draw(st.permutations([labels, 1 - labels, half, *map(np.array, drawn)]))
     dtype = data.draw(st.sampled_from([np.uint8, np.int64, np.float64, bool]), label="dtype")
-    rows = np.array(rows).astype(dtype)
+    rows = np.array(rows)
+    if data.draw(st.booleans(), label="ascending"):
+        rows = rows[np.argsort((rows == labels).sum(axis=1), kind="stable")]
+    rows = rows.astype(dtype)
     cut = data.draw(st.integers(0, len(rows)), label="cut")
     reports = [*query_batch(batched, rows[:cut]), *query_batch(batched, rows[cut:])]
     assert reports == [scalar_query(scalar, v) for v in rows]
@@ -326,18 +332,40 @@ def test_attack_empty_collection_falls_back_to_random_vector(monkeypatch):
     assert 0.0 <= outcome.reported_accuracy <= 1.0
 
 
-# at 2**18 bits a block, (997, 600) is three blocks, the last partial, and (40_001, 37) 8-row ones
-@pytest.mark.parametrize("n, i", [(200, 300), (997, 600), (40_001, 37)])
+# at 2**18 bits a block, (997, 600) is three blocks, the last partial, and (40_001, 37) 8-row
+# ones; (3, 70_000) is one block, whose ~70,000 kept ladder rows make 274 full 255-row tally
+# groups and a remainder, and a 1e-3 ladder step climbs many rungs within a block
+@pytest.mark.parametrize("n, i, step, seeds", [
+    pytest.param(200, 300, None, 4, id="200-300"),
+    pytest.param(997, 600, None, 4, id="997-600"),
+    pytest.param(40_001, 37, None, 4, id="40001-37"),
+    pytest.param(3, 70_000, None, 1, id="3-70000"),
+    pytest.param(200, 2_000, 1e-3, 4, id="200-2000-step0.001"),
+])
 @pytest.mark.parametrize("mechanism", [NAIVE, LADDER])
-def test_attack_matches_per_query_oracle(mechanism, n, i):
-    for seed in range(4):
-        server = new_holdout(n, mechanism, seed=seed)
-        reference = new_holdout(n, mechanism, seed=seed)
+def test_attack_matches_per_query_oracle(mechanism, n, i, step, seeds):
+    for seed in range(seeds):
+        server = new_holdout(n, mechanism, seed=seed, step=step)
+        reference = new_holdout(n, mechanism, seed=seed, step=step)
         outcome = boosting_attack(server, i, seed=seed + 10)
         expected = attack_oracle(reference, i, seed=seed + 10)
         assert (outcome.reported_accuracy, outcome.true_accuracy, outcome.collected) == expected
         assert server.query_count == reference.query_count == i
         assert server.best_reported == reference.best_reported
+
+
+@pytest.mark.parametrize("mechanism", [NAIVE, LADDER])
+def test_tally_counts_columns_past_uint8_and_uint16(mechanism, monkeypatch):
+    # every candidate equals the labels and is kept, so a label-1 column of the
+    # one 70,000-row block holds 70,000 votes: a 256-row uint8 group or a
+    # uint16 block sum would wrap and turn the vote against the labels
+    labels = new_holdout(3, NAIVE, seed=0).labels_copy()
+    assert labels.any()
+    monkeypatch.setattr(reuse, "_random_predictions",
+                        lambda rng, count, n: np.packbits(np.tile(labels, (count, 1)), axis=1))
+    outcome = boosting_attack(new_holdout(3, mechanism, seed=0), 70_000, seed=1)
+    assert outcome.collected == 70_000
+    assert outcome.reported_accuracy == 1.0
 
 
 def test_attack_memory_does_not_grow_with_i():

@@ -220,13 +220,12 @@ def loaded_or_error(load, text):
 # Float reprs, with whitespace that str.strip removes around them ("\x1c" is
 # whitespace to str.strip but not to float), blanks, and cells to report.
 SPACES = st.sampled_from(["", " ", "\t", "  ", "\x1c", "\u3000"])
-CELLS = st.one_of(
-    st.builds(lambda a, x, b: a + repr(x) + b, SPACES, st.floats(allow_nan=False,
-                                                                allow_infinity=False), SPACES),
-    st.builds(lambda a, x, b: a + x + b, SPACES,
-              st.sampled_from(["", "-0", "1_0", "inf", "-inf", "nan", "oops", "1e", "1__0",
-                               "0x10", "--1"]), SPACES),
-)
+FLOATS = st.builds(lambda a, x, b: a + repr(x) + b, SPACES,
+                   st.floats(allow_nan=False, allow_infinity=False), SPACES)
+ODD_CELLS = st.builds(lambda a, x, b: a + x + b, SPACES,
+                      st.sampled_from(["", "-0", "1_0", "inf", "-inf", "nan", "oops", "1e", "1__0",
+                                       "0x10", "--1"]), SPACES)
+CELLS = st.one_of(FLOATS, ODD_CELLS)
 
 
 @given(data=st.data())
@@ -236,6 +235,19 @@ def test_csv_loader_matches_the_per_cell_loop(data):
     lines = ["model," + ",".join(f"t{j}" for j in range(n_tasks))]
     lines += [f"m{i}," + ",".join(data.draw(cells)) for i in range(n_models)]
     text = "\n".join(lines) + "\n"
+    expected = loaded_or_error(per_cell_load, text)
+    assert loaded_or_error(lambda t: load_matrix(t, "csv"), text) == expected
+
+
+@given(data=st.data())
+def test_csv_loader_matches_the_per_cell_loop_with_an_odd_cell_first_or_last(data):
+    # the loader keeps the floats before a row's first odd cell and parses
+    # cell by cell from it on, so the odd cell sits at either end of the row
+    n_tasks = data.draw(st.integers(1, 6), label="tasks")
+    cells = data.draw(st.lists(FLOATS, min_size=n_tasks - 1, max_size=n_tasks - 1), label="floats")
+    odd = data.draw(ODD_CELLS, label="odd")
+    cells = [odd, *cells] if data.draw(st.booleans(), label="first") else [*cells, odd]
+    text = "model," + ",".join(f"t{j}" for j in range(n_tasks)) + "\nm0," + ",".join(cells) + "\n"
     expected = loaded_or_error(per_cell_load, text)
     assert loaded_or_error(lambda t: load_matrix(t, "csv"), text) == expected
 
