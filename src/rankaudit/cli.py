@@ -30,11 +30,11 @@ from .ranking import Ranking, top_k
 from .rankstats import (
     DEFAULT_SAMPLING_BUDGET,
     SubsetAuditResult,
-    _audit_rows,
     _subset_total,
     aggregator_agreement,
     subset_tau_profile,
     unique_topk_audit,
+    write_listing,
 )
 from .report import Report, provenance_block, render_json, render_text, write_csv
 from .reuse import LADDER, NAIVE, reuse_bound, simulate
@@ -290,7 +290,7 @@ def _listed(by_size: Iterator[list[SubsetAuditResult]],
         with open(partial, "w") as fh:
             write_csv(fh, ["size", "k", "tasks", "topk", "boundary_tied"], ())
             for same_size in by_size:
-                write_csv(fh, None, _audit_rows(same_size))
+                write_listing(fh, same_size)
                 yield same_size
         partial.replace(Path(out_dir, "audit_subsets.csv"))
     finally:

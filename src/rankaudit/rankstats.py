@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import comb
+from typing import IO
 
 import numpy as np
 
@@ -388,40 +388,76 @@ def audit_to_dict(result: SubsetAuditResult) -> dict:
     }
 
 
-def _audit_rows(results: Sequence[SubsetAuditResult]) -> Iterator[Iterator[tuple]]:
-    """The per-subset listing of `for_k` results of one audit, in chunks of rows.
+def write_listing(fh: IO[str], results: Sequence[SubsetAuditResult]) -> None:
+    """Write the per-subset listing of `for_k` results of one audit to fh as CSV rows.
 
-    A row is (size, k, tasks, topk, boundary_tied).  tasks joins the task
-    ids with "+"; topk joins the tie groups, best first, with ";" and the
+    A row is size,k,tasks,topk,boundary_tied.  tasks joins the task ids
+    with "+"; topk joins the tie groups, best first, with ";" and the
     sorted model ids of a group with "|".  Rows run over the audit's
-    subsets in order and, for each subset, over `results` in order.  Each
-    chunk renders `_chunk` subsets, sized in cells as the audit's kernel
-    passes are, straight from their rows of codes, whose models already
-    follow id order inside a tie group, so its memory is bounded by the
-    chunk: a cell is one join of strings picked by fancy indexing from an
-    object array.
+    subsets in order and, for each subset, over `results` in order.  The
+    text is what `csv.writer` writes with "\n" line ends: ids hold no line
+    break (ScoreMatrix refuses them), so a tasks or topk field is quoted,
+    its '"' doubled, exactly when one of its ids holds "," or '"'.
+
+    Each chunk of `_chunk` subsets, sized in cells as the audit's kernel
+    passes are, is written as one join, so its memory is bounded by the
+    chunk.  Its rows are laid out subset-major and k-minor as indices into
+    one table of string pieces.  The topk pieces come from the rows of
+    codes of the largest k, whose models already follow id order inside a
+    tie group; `for_k` cut each smaller k's row as a prefix of that row.
     """
     coded = [r.per_subset_topk for r in results]
-    first = coded[0]
-    n = len(first.model_ids)
-    size = results[0].subset_size
-    tasks = np.array(first.task_ids, dtype=object)
-    # pieces[sep, model]: the model's id after no separator, "|" (same tie
-    # group) or ";" (next group); model n is the padding, ""
-    pieces = np.array([[sep + mid for mid in (*first.model_ids, "")] for sep in ("", "|", ";")],
-                      dtype=object)
-    chunk = _chunk(n, len(tasks))
-    for start in range(0, len(first), chunk):
-        stop = start + chunk
-        task_cells = list(map("+".join, tasks[first.subsets[start:stop]].tolist()))
-        columns = []
-        for c in coded:
-            codes = c.codes[start:stop]
-            group, model = np.divmod(codes, n)
-            valid = codes >= 0
-            sep = np.zeros(group.shape, dtype=np.intp)
-            sep[:, 1:] = np.where(valid[:, 1:], 1 + (group[:, 1:] != group[:, :-1]), 0)
-            cells = map("".join, pieces[sep, np.where(valid, model, -1)].tolist())
-            columns.append(zip(repeat(size), repeat(c.k), task_cells, cells,
-                               (valid.sum(axis=1) > c.k).tolist()))
-        yield chain.from_iterable(zip(*columns))
+    top = max(coded, key=lambda c: c.k)
+    n, width = len(top.model_ids), top.codes.shape[1]
+    ids = (*top.model_ids, "")  # model n is the padding
+    tasks = np.array([t.replace('"', '""') for t in top.task_ids], dtype=object)
+    # per id, whether a field that holds it is quoted
+    task_quoted = np.array([',' in t or '"' in t for t in top.task_ids], dtype=np.uint8)
+    model_quoted = np.array([',' in i or '"' in i for i in ids], dtype=np.uint8)
+    quotes = ("", '"')
+    # The table holds the text before tasks, at 2 * (place of k) + tasks
+    # quoted; between tasks and topk, at mid + 2 * tasks quoted + topk
+    # quoted; after topk, at tail + 2 * topk quoted + boundary tied; each
+    # model's id after no separator, "|" (same tie group) or ";" (next
+    # group), at piece + (n + 1) * separator + model; then a slot for each
+    # subset of a chunk, at cell + its place, for its tasks cell.
+    table = [f"{results[0].subset_size},{c.k},{q}" for c in coded for q in quotes]
+    mid = len(table)
+    table += [f"{a},{b}" for a in quotes for b in quotes]
+    tail = len(table)
+    table += [f"{q},{tied}\n" for q in quotes for tied in (False, True)]
+    piece = len(table)
+    table += [sep + i.replace('"', '""') for sep in ("", "|", ";") for i in ids]
+    pad, cell, chunk = piece + n, len(table), _chunk(n, len(tasks))
+    table = np.array(table + [""] * chunk, dtype=object)
+
+    def indices(start: int, subsets: np.ndarray) -> np.ndarray:
+        """The table indices of the chunk's rows, end to end, padding dropped."""
+        rows = np.arange(len(subsets))
+        tasks_quoted = task_quoted[subsets].max(axis=1)
+        codes = top.codes[start:start + len(rows)]
+        group, model = np.divmod(codes, n)
+        valid = codes >= 0
+        model[~valid] = n
+        pieces = np.zeros(group.shape, dtype=np.intp)
+        pieces[:, 1:] = np.where(valid[:, 1:], 1 + (group[:, 1:] != group[:, :-1]), 0)
+        pieces *= n + 1
+        pieces += piece + model
+        # whether the first p + 1 models of a row hold a quoted id
+        quoted_by = np.maximum.accumulate(model_quoted[model], axis=1)
+        idx = np.empty((len(rows), len(coded), width + 4), dtype=np.intp)
+        idx[:, :, 0] = 2 * np.arange(len(coded)) + tasks_quoted[:, None]
+        idx[:, :, 1] = cell + rows[:, None]
+        for j, c in enumerate(coded):
+            placed = (c.codes[start:start + len(rows)] >= 0).sum(axis=1)
+            topk_quoted = quoted_by[rows, placed - 1]
+            idx[:, j, 2] = mid + 2 * tasks_quoted + topk_quoted
+            idx[:, j, 3:-1] = np.where(np.arange(width) < placed[:, None], pieces, pad)
+            idx[:, j, -1] = tail + 2 * topk_quoted + (placed > c.k)
+        idx = idx.ravel()
+        return idx[idx != pad]
+
+    for start in range(0, len(top), chunk):
+        subsets = top.subsets[start:start + chunk]
+        table[cell:cell + len(subsets)] = list(map("+".join, tasks[subsets].tolist()))
+        fh.write("".join(table[indices(start, subsets)].tolist()))

@@ -107,11 +107,10 @@ def render_json(report: Report, extra: Mapping[str, Any] | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_csv(fh: IO[str], header: Sequence[str] | None,
+def write_csv(fh: IO[str], header: Sequence[str],
               chunks: Iterable[Iterable[Sequence[Any]]]) -> None:
-    """Write the header, unless None, and then each chunk of rows to fh as CSV, chunk by chunk."""
+    """Write the header and then each chunk of rows to fh as CSV, chunk by chunk."""
     writer = csv.writer(fh, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
+    writer.writerow(header)
     for rows in chunks:
         writer.writerows(rows)

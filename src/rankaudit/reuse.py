@@ -91,9 +91,10 @@ def query_batch(server: HoldoutServer, predictions) -> np.ndarray:
 
     Naive: the exact empirical accuracy.  Ladder: if the accuracy clears
     best_reported + step, best_reported moves to the accuracy rounded to
-    the nearest step multiple (halfway rounds up) and is reported;
-    otherwise the previous best_reported is repeated.  A value other than
-    0 or 1 is a SchemaError naming its row, and no query is counted.
+    the nearest step multiple (halfway rounds up), capped at 1, and is
+    reported; otherwise the previous best_reported is repeated.  A value
+    other than 0 or 1 is a SchemaError naming its row, and no query is
+    counted.
     """
     arr = np.asarray(predictions)
     if arr.ndim != 2 or arr.shape[1] != server.n:
@@ -124,8 +125,10 @@ def _reports(server: HoldoutServer, packed: np.ndarray) -> np.ndarray:
     # each rung needs a higher accuracy than the last, so a server climbs at most n + 1 of them
     while (clears := accuracies[row:] >= best + step).any():
         row += int(clears.argmax())
-        # the 1e-9 nudge makes halfway cases round up despite float noise
-        best = reports[row:] = math.floor(float(accuracies[row]) / step + 0.5 + 1e-9) * step
+        # the 1e-9 nudge makes halfway cases round up despite float noise; a
+        # step multiple past 1 is no accuracy, so the report stops at 1
+        rounded = math.floor(float(accuracies[row]) / step + 0.5 + 1e-9) * step
+        best = reports[row:] = min(1.0, rounded)
         row += 1
     server.best_reported = best
     return reports

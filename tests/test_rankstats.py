@@ -2,7 +2,7 @@ import io
 import json
 import tracemalloc
 import types
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -547,13 +547,24 @@ def listing_cases(draw):
     return matrix(scores, model_ids, task_ids), size, ks
 
 
+def listed_text(results):
+    """The text `write_listing` writes for results."""
+    buf = io.StringIO()
+    rankstats.write_listing(buf, results)
+    return buf.getvalue()
+
+
 def listing_at_budget(m, spec, size, ks, cells):
-    """The audit's `for_k` results and listing rows with `cells` as the cell budget."""
+    """The audit's `for_k` results and listing text with `cells` as the cell budget."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rankstats, "_CELLS", cells)
         audit = unique_topk_audit(m, spec, size, max(ks))
         results = [audit.for_k(k) for k in ks]
-        return results, list(chain.from_iterable(rankstats._audit_rows(results)))
+        return results, listed_text(results)
+
+
+def headless(csv: bytes) -> bytes:
+    return csv.split(b"\n", 1)[1]
 
 
 @pytest.mark.parametrize("method", ["arithmetic_mean", "average_rank"])
@@ -566,10 +577,9 @@ def test_listing_matches_the_decoded_renderer(method, case, cells):
         coded = result.per_subset_topk
         for subset, code in zip(coded, coded.codes):
             assert coded.decode(code) == top_k(aggregate(m, subset, spec), result.k)
-    expected = reference_listing(results)
-    assert listed == expected
-    assert csv_bytes(listed) == csv_bytes(expected)
-    # one or a few subsets per pass give the default budget's codes and rows
+    # csv.writer's bytes for the rows rendered from decoded TopKs, header cut
+    assert listed.encode() == headless(csv_bytes(reference_listing(results)))
+    # one or a few subsets per pass give the default budget's codes and text
     default, default_listed = listing_at_budget(m, spec, size, ks, rankstats._CELLS)
     for result, other in zip(results, default):
         codes, other_codes = result.per_subset_topk.codes, other.per_subset_topk.codes
@@ -583,11 +593,17 @@ class _Discard:
         return len(text)
 
 
+class _Keep(list):
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
 def test_listing_memory_is_bounded_by_the_chunk():
-    # 12,870 subsets x 4 ks = 51,480 rows.  Holding every row took 8.3 MB
-    # (tracemalloc, Python 3.11, numpy 2.4); writing them chunk by chunk
-    # peaked at 1.2 MB, as each chunk held 1,024 subsets; it now holds
-    # _CELLS // (50 + 16) = 248.
+    # 12,870 subsets x 4 ks = 51,480 rows, about 3 MB of text.  Rendering
+    # the rows through csv.writer chunk by chunk peaked at 1.2 MB when a
+    # chunk held 1,024 subsets (tracemalloc, Python 3.11, numpy 2.4).  A
+    # chunk now holds _CELLS // (50 + 16) = 248 subsets, written as one join.
     s = np.random.default_rng(0).random((50, 16))
     m = matrix(s.tolist(), [f"m{i}" for i in range(50)], [f"t{j}" for j in range(16)])
     audit = unique_topk_audit(m, AggregationSpec("arithmetic_mean"), 8, 10)
@@ -595,16 +611,38 @@ def test_listing_memory_is_bounded_by_the_chunk():
     assert audit.evaluated == comb(16, 8) == 12870
     tracemalloc.start()
     try:
-        write_csv(_Discard(), LISTING_HEADER, rankstats._audit_rows(results))
+        rankstats.write_listing(_Discard(), results)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        rows = list(chain.from_iterable(rankstats._audit_rows(results)))
+        kept = _Keep()
+        rankstats.write_listing(kept, results)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 4 * 12870
+    assert "".join(kept).count("\n") == 4 * 12870
     assert peak < 2 * 10**6
     assert 4 * peak < held
+
+
+def test_listing_memory_is_bounded_at_the_widest_chunk():
+    # Every score ties, so each subset's boundary group holds all 2,000
+    # models and every topk cell names them all: a chunk of
+    # _CELLS // (2000 + 12) = 8 subsets is 16 rows of about 12 kB each.
+    # Rendering them through csv.writer peaked at 1.07 MB (tracemalloc,
+    # Python 3.11, numpy 2.4); one join per chunk peaks at 1.12 MB.
+    ids = [f"m{i}" for i in range(2000)]
+    m = matrix([[1.0] * 12] * 2000, ids, [f"t{j}" for j in range(12)])
+    audit = unique_topk_audit(m, AggregationSpec("arithmetic_mean"), 6, 3)
+    results = [audit.for_k(k) for k in (1, 3)]
+    assert audit.per_subset_topk.codes.shape == (comb(12, 6), 2000)
+    tracemalloc.start()
+    try:
+        rankstats.write_listing(_Discard(), results)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 10**6
+    assert listed_text(results).encode() == headless(csv_bytes(reference_listing(results)))
 
 
 @pytest.mark.parametrize("method", ["arithmetic_mean", "median"])

@@ -32,7 +32,8 @@ def scalar_query(server, vec):
     if server.mechanism == NAIVE:
         return accuracy
     if accuracy >= server.best_reported + server.step:
-        server.best_reported = math.floor(accuracy / server.step + 0.5 + 1e-9) * server.step
+        server.best_reported = min(1.0, math.floor(accuracy / server.step + 0.5 + 1e-9)
+                                   * server.step)
     return server.best_reported
 
 
@@ -167,6 +168,21 @@ def test_ladder_reports_are_non_decreasing():
     reports = [query(server, rng.integers(0, 2, 200, dtype=np.uint8)) for _ in range(300)]
     assert reports == sorted(reports)
     assert server.query_count == 300
+
+
+@pytest.mark.parametrize("step", [None, 0.3])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ladder_reports_lie_in_the_unit_interval(n, step):
+    # The labels score 1 on a fresh server, which rounds to a step multiple
+    # past 1 whenever 1 is not one (n = 3: 2 / sqrt(3) = 1.1547); the report
+    # stops at 1.  Random rows and the labels again follow, batched and single.
+    server = new_holdout(n, LADDER, seed=1, step=step)
+    reports = [query(server, server.labels_copy())]
+    rng = np.random.default_rng(derive_seed(n, "stream"))
+    batch = np.vstack([rng.integers(0, 2, size=(20, n), dtype=np.uint8), server.labels_copy()])
+    reports += query_batch(server, batch).tolist()
+    reports.append(query(server, server.labels_copy()))
+    assert all(0 <= r <= 1 for r in reports)
 
 
 @pytest.mark.parametrize("mechanism", [NAIVE, LADDER])

@@ -10,7 +10,9 @@ duplicated rows, tenths whose float sums depend on order, and cells moved
 one ulp with np.nextafter.
 """
 
+import csv
 import importlib
+import io
 from itertools import combinations, product
 from math import comb
 
@@ -425,8 +427,10 @@ def test_codes_decode_to_the_oracle_topks(method, data):
     assert len({tk.sequence for tk in decoded}) == len(rows) == result.unique_count
     assert [decoded[u] for u in inverse] == list(expected.values())
     # the listing renders the same TopKs, tie groups sorted by model id
-    listed = [row[3:] for chunk in rankstats._audit_rows([result]) for row in chunk]
-    assert listed == [(";".join("|".join(sorted(g)) for g in tk.sequence), tk.boundary_tied)
+    buf = io.StringIO()
+    rankstats.write_listing(buf, [result])
+    listed = [row[3:] for row in csv.reader(io.StringIO(buf.getvalue()))]
+    assert listed == [[";".join("|".join(sorted(g)) for g in tk.sequence), str(tk.boundary_tied)]
                       for tk in expected.values()]
 
 
