@@ -29,6 +29,7 @@ from .errors import AuditError, ConfigError, DegenerateInputError, InputError, S
 from .ranking import Ranking, top_k
 from .rankstats import (
     DEFAULT_SAMPLING_BUDGET,
+    LISTING_HEADER,
     SubsetAuditResult,
     _subset_total,
     aggregator_agreement,
@@ -288,7 +289,7 @@ def _listed(by_size: Iterator[list[SubsetAuditResult]],
     partial = Path(out_dir, "audit_subsets.csv.partial")
     try:
         with open(partial, "w") as fh:
-            write_csv(fh, ["size", "k", "tasks", "topk", "boundary_tied"], ())
+            fh.write(LISTING_HEADER)
             for same_size in by_size:
                 write_listing(fh, same_size)
                 yield same_size

@@ -388,16 +388,20 @@ def audit_to_dict(result: SubsetAuditResult) -> dict:
     }
 
 
+LISTING_HEADER = "size,k,tasks,topk,boundary_tied\n"  # the header line of the listing
+
+
 def write_listing(fh: IO[str], results: Sequence[SubsetAuditResult]) -> None:
     """Write the per-subset listing of `for_k` results of one audit to fh as CSV rows.
 
-    A row is size,k,tasks,topk,boundary_tied.  tasks joins the task ids
-    with "+"; topk joins the tie groups, best first, with ";" and the
-    sorted model ids of a group with "|".  Rows run over the audit's
-    subsets in order and, for each subset, over `results` in order.  The
-    text is what `csv.writer` writes with "\n" line ends: ids hold no line
-    break (ScoreMatrix refuses them), so a tasks or topk field is quoted,
-    its '"' doubled, exactly when one of its ids holds "," or '"'.
+    A row is size,k,tasks,topk,boundary_tied, under `LISTING_HEADER`.
+    tasks joins the task ids with "+"; topk joins the tie groups, best
+    first, with ";" and the sorted model ids of a group with "|".  Rows
+    run over the audit's subsets in order and, for each subset, over
+    `results` in order.  The text is what `csv.writer` writes with "\n"
+    line ends: ids hold no line break (ScoreMatrix refuses them), so a
+    tasks or topk field is quoted, its '"' doubled, exactly when one of
+    its ids holds "," or '"'.
 
     Each chunk of `_chunk` subsets, sized in cells as the audit's kernel
     passes are, is written as one join, so its memory is bounded by the
@@ -433,8 +437,9 @@ def write_listing(fh: IO[str], results: Sequence[SubsetAuditResult]) -> None:
 
     def indices(start: int, subsets: np.ndarray) -> np.ndarray:
         """The table indices of the chunk's rows, end to end, padding dropped."""
+        # the sums of indices stay in intp: codes and quoting flags are narrower
         rows = np.arange(len(subsets))
-        tasks_quoted = task_quoted[subsets].max(axis=1)
+        tasks_quoted = task_quoted[subsets].max(axis=1).astype(np.intp)
         codes = top.codes[start:start + len(rows)]
         group, model = np.divmod(codes, n)
         valid = codes >= 0
@@ -442,7 +447,8 @@ def write_listing(fh: IO[str], results: Sequence[SubsetAuditResult]) -> None:
         pieces = np.zeros(group.shape, dtype=np.intp)
         pieces[:, 1:] = np.where(valid[:, 1:], 1 + (group[:, 1:] != group[:, :-1]), 0)
         pieces *= n + 1
-        pieces += piece + model
+        pieces += model
+        pieces += piece
         # whether the first p + 1 models of a row hold a quoted id
         quoted_by = np.maximum.accumulate(model_quoted[model], axis=1)
         idx = np.empty((len(rows), len(coded), width + 4), dtype=np.intp)
@@ -450,7 +456,7 @@ def write_listing(fh: IO[str], results: Sequence[SubsetAuditResult]) -> None:
         idx[:, :, 1] = cell + rows[:, None]
         for j, c in enumerate(coded):
             placed = (c.codes[start:start + len(rows)] >= 0).sum(axis=1)
-            topk_quoted = quoted_by[rows, placed - 1]
+            topk_quoted = quoted_by[rows, placed - 1].astype(np.intp)
             idx[:, j, 2] = mid + 2 * tasks_quoted + topk_quoted
             idx[:, j, 3:-1] = np.where(np.arange(width) < placed[:, None], pieces, pad)
             idx[:, j, -1] = tail + 2 * topk_quoted + (placed > c.k)

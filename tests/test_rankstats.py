@@ -588,6 +588,21 @@ def test_listing_matches_the_decoded_renderer(method, case, cells):
     assert listed == default_listed
 
 
+def test_listing_with_many_ks_matches_csv_writer():
+    # 130 ks, duplicates and k > n among them: the table's indices run
+    # past 255, past what a uint8 quoting flag can add to without wrapping.
+    ids = ["a,b", 'say "hi"', "c", "d,", 'e"', "f"]
+    tasks = ["t,1", 't"2', "t3", "t4"]
+    m = matrix([[1, 0, 2, 1], [1, 1, 0, 2], [0, 0, 2, 1], [2, 1, 1, 0],
+                [1, 0, 2, 1], [0, 2, 1, 1]], ids, tasks)
+    ks = [*range(1, 131), 3, 3, 7]
+    audit = unique_topk_audit(m, AggregationSpec("arithmetic_mean"), 2, max(ks))
+    results = [audit.for_k(k) for k in ks]
+    listed = rankstats.LISTING_HEADER + listed_text(results)
+    assert listed.encode() == csv_bytes(reference_listing(results))
+    assert listed.count("\n") == 1 + comb(4, 2) * len(ks)
+
+
 class _Discard:
     def write(self, text):
         return len(text)
