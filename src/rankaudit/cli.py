@@ -16,7 +16,6 @@ outputs are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -31,13 +30,13 @@ from .rankstats import (
     DEFAULT_SAMPLING_BUDGET,
     LISTING_HEADER,
     SubsetAuditResult,
-    _subset_total,
     aggregator_agreement,
+    check_audit,
     subset_tau_profile,
     unique_topk_audit,
     write_listing,
 )
-from .report import Report, provenance_block, render_json, render_text, write_csv
+from .report import Report, csv_text, provenance_block, render_json, render_text
 from .reuse import LADDER, NAIVE, reuse_bound, simulate
 from .scorebank import ScoreMatrix, human_normalize, load_matrix, load_metrics, orient
 from .significance import (
@@ -225,19 +224,14 @@ def _prepare(args: argparse.Namespace, title: str) -> tuple[AuditConfig, ScoreMa
     options = {"aggregation": spec.method, "bin_width": spec.bin_width, "weights": spec.weights,
                "groups": spec.group_map, "normalize": cfg.normalize}
     if "sizes" in args:  # audit and report, checked before any size is scored
-        for size in cfg.subset_sizes:
-            _subset_total(m.n_tasks, size)
-        if min(cfg.ks) < 1:
-            raise ConfigError(f"k must be >= 1, got {min(cfg.ks)}")
-        if cfg.sampling_budget < 1:
-            raise ConfigError(f"sampling budget must be >= 1, got {cfg.sampling_budget}")
+        check_audit(m, spec, cfg.subset_sizes, cfg.ks, cfg.sampling_budget)
         options.update(sizes=cfg.subset_sizes, ks=cfg.ks, sampling_budget=cfg.sampling_budget)
     if "subset" in args:  # aggregate
         options.update(subset=args.subset.split(",") if args.subset else "all", topk=args.topk)
     return cfg, m, _report(title, cfg.seed, inputs, options)
 
 
-def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text: str,
+def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_out: str,
           csv_name: str | None = None, extra: Mapping[str, Any] | None = None) -> None:
     """The one output writer: render each needed format once, write it to stdout and files.
 
@@ -250,7 +244,7 @@ def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text
              "csv": csv_name or f"{basename}.csv"}
     render = {"text": lambda: render_text(report),
               "json": lambda: render_json(report, extra),
-              "csv": lambda: csv_text}
+              "csv": lambda: csv_out}
     rendered = {f: render[f]() for f in (names if out_dir else [fmt])}
     if out_dir:
         directory = Path(out_dir)
@@ -258,12 +252,6 @@ def _emit(report: Report, fmt: str, out_dir: str | None, basename: str, csv_text
         for f, name in names.items():
             (directory / name).write_text(rendered[f])
     sys.stdout.write(rendered[fmt])
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    buf = io.StringIO()
-    write_csv(buf, header, [rows])
-    return buf.getvalue()
 
 
 def _audit_curve(m: ScoreMatrix, cfg: AuditConfig) -> Iterator[list[SubsetAuditResult]]:
@@ -307,7 +295,7 @@ def _add_curve(report: Report, by_size: Iterable[list[SubsetAuditResult]]) -> tu
             for same_size in by_size for r in same_size]
     report.add_table("Unique Top-k outcomes per subset size", _CURVE,
                      [[*row[:4], "exact" if row[4] else "sampled"] for row in rows])
-    return _csv_text(_CURVE[:4], [row[:4] for row in rows]), rows
+    return csv_text(_CURVE[:4], [row[:4] for row in rows]), rows
 
 
 def _add_ranking(report: Report, title: str, ranking: Ranking) -> list[list[Any]]:
@@ -331,8 +319,8 @@ def _add_task_taus(report: Report, title: str, m: ScoreMatrix,
 
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg, m, report = _prepare(args, "Task-subset disagreement audit")
-    csv_text, rows = _add_curve(report, _listed(_audit_curve(m, cfg), cfg.output_dir))
-    _emit(report, args.format, cfg.output_dir, "audit", csv_text, "audit_curve.csv",
+    curve, rows = _add_curve(report, _listed(_audit_curve(m, cfg), cfg.output_dir))
+    _emit(report, args.format, cfg.output_dir, "audit", curve, "audit_curve.csv",
           {"audits": [dict(zip(_CURVE, row)) for row in rows]})
     return 0
 
@@ -370,8 +358,8 @@ def cmd_corr(args: argparse.Namespace) -> int:
     csv_rows = [["task", t, "" if tau is None else tau] for (t,), tau in per_task.items()]
     csv_rows += [["group", "+".join(subset), "" if tau is None else tau]
                  for subset, tau in per_group.items()]
-    csv_text = _csv_text(["kind", "subset", "tau_b"], csv_rows)
-    _emit(report, args.format, cfg.output_dir, "corr", csv_text)
+    _emit(report, args.format, cfg.output_dir, "corr",
+          csv_text(["kind", "subset", "tau_b"], csv_rows))
     return 0
 
 
@@ -382,7 +370,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     k = args.topk if args.topk is not None else ranking.n_models
     order_rows = _add_ranking(report, "Ranking (rank 1 = best)", ranking)
     report.add_kv(f"Top-{k}", {"models": top_k(ranking, k).render()})
-    _emit(report, args.format, cfg.output_dir, "ranking", _csv_text(["rank", "model"], order_rows))
+    _emit(report, args.format, cfg.output_dir, "ranking", csv_text(["rank", "model"], order_rows))
     return 0
 
 
@@ -474,8 +462,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ],
         "prob_a_le_b": bootstrap,
     }
-    csv_text = _csv_text(["dataset", "mean_diff", "p_value", "exact", "rejected"], dataset_rows)
-    _emit(report, args.format, args.out, "compare", csv_text, extra={"tests": tests})
+    _emit(report, args.format, args.out, "compare",
+          csv_text(["dataset", "mean_diff", "p_value", "exact", "rejected"], dataset_rows),
+          extra={"tests": tests})
     return 0
 
 
@@ -501,17 +490,18 @@ def cmd_simulate_reuse(args: argparse.Namespace) -> int:
         ["mechanism", "i", "mean_reported", "mean_true", "mean_gap", "bound sqrt(i/n)"],
         summary_rows,
     )
-    csv_text = _csv_text(["trial", "i", "mechanism", "reported", "true", "bound"], rows)
-    _emit(report, args.format, args.out, "reuse", csv_text, "reuse_trials.csv")
+    _emit(report, args.format, args.out, "reuse",
+          csv_text(["trial", "i", "mechanism", "reported", "true", "bound"], rows),
+          "reuse_trials.csv")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg, m, report = _prepare(args, "Leaderboard fragility report")
     _add_ranking(report, "Full-benchmark ranking", aggregate(m, None, cfg.aggregation))
-    csv_text, _ = _add_curve(report, _audit_curve(m, cfg))
+    curve, _ = _add_curve(report, _audit_curve(m, cfg))
     _add_task_taus(report, "Per-task tau-b vs. full ranking", m, cfg.aggregation)
-    _emit(report, args.format, cfg.output_dir, "report", csv_text)
+    _emit(report, args.format, cfg.output_dir, "report", curve)
     return 0
 
 

@@ -26,6 +26,7 @@ from .util import derive_seed
 
 __all__ = [
     "SubsetAuditResult",
+    "check_audit",
     "unique_topk_audit",
     "subset_tau_profile",
     "topk_table",
@@ -165,19 +166,31 @@ def _result(size: int, total: int, exact: bool, coded: _CodedTopK) -> SubsetAudi
     return SubsetAuditResult(size, coded.k, len(coded.unique()[0]), total, coded, exact)
 
 
-def _subset_total(n_tasks: int, size: int) -> int:
-    """C(n_tasks, size), after checking that an audit can rank subsets of this size.
+def check_audit(m: ScoreMatrix, spec: AggregationSpec, sizes: Sequence[int],
+                ks: Sequence[int], sampling_budget: int) -> list[int]:
+    """C(T, size) for each size of an audit request, after checking the request.
 
-    The size must be in [1, n_tasks], and the count below 2**63, because
-    subsets are unranked from int64 ranks.
+    A ConfigError names the first broken rule, in this order: every k is
+    >= 1; the budget is an int >= 1; the spec passes `check_spec_tasks`;
+    each size is in [1, T] with C(T, size) below 2**63, because subsets
+    are unranked from int64 ranks.
     """
-    if not 1 <= size <= n_tasks:
-        raise ConfigError(f"subset size must be in [1, {n_tasks}], got {size}")
-    total = comb(n_tasks, size)
-    if total >= 2**63:
-        raise ConfigError(f"C({n_tasks}, {size}) = {total} subsets of size {size}: "
-                          "an audit ranks its subsets in int64, so C(T, size) must be below 2**63")
-    return total
+    if min(ks, default=1) < 1:
+        raise ConfigError(f"k must be >= 1, got {min(ks)}")
+    if isinstance(sampling_budget, bool) or not isinstance(sampling_budget, int):
+        raise ConfigError(f"sampling_budget must be an int, got {sampling_budget!r}")
+    if sampling_budget < 1:
+        raise ConfigError(f"sampling budget must be >= 1, got {sampling_budget}")
+    check_spec_tasks(m, spec)
+    n, totals = m.n_tasks, []
+    for size in sizes:
+        if not 1 <= size <= n:
+            raise ConfigError(f"subset size must be in [1, {n}], got {size}")
+        totals.append(comb(n, size))
+        if totals[-1] >= 2**63:
+            raise ConfigError(f"C({n}, {size}) = {totals[-1]} subsets of size {size}: an audit "
+                              "ranks its subsets in int64, so C(T, size) must be below 2**63")
+    return totals
 
 
 def _unrank(ranks: np.ndarray, n: int, size: int) -> np.ndarray:
@@ -291,18 +304,10 @@ def unique_topk_audit(
     C(T, size) exceeds `sampling_budget`, in which case a seeded uniform
     sample without replacement is used and the result is flagged as
     sampled.  Either way the rows are unranked from int64 lexicographic
-    ranks, so C(T, size) must be below 2**63.  The result's `for_k` gives
-    every smaller k from the same codes.  Weights or groups for a task the
-    matrix lacks are a ConfigError.
+    ranks.  The result's `for_k` gives every smaller k from the same codes.
+    `check_audit` states the rules the arguments must keep.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if isinstance(sampling_budget, bool) or not isinstance(sampling_budget, int):
-        raise ConfigError(f"sampling_budget must be an int, got {sampling_budget!r}")
-    if sampling_budget < 1:
-        raise ConfigError(f"sampling budget must be >= 1, got {sampling_budget}")
-    check_spec_tasks(m, spec)
-    total = _subset_total(m.n_tasks, size)
+    total, = check_audit(m, spec, [size], [k], sampling_budget)
     exact = total <= sampling_budget
     ranks = np.arange(total) if exact else _sampled_subsets(total, size, sampling_budget, seed)
     subsets = _unrank(ranks, m.n_tasks, size)

@@ -10,10 +10,11 @@ carries a wall-clock timestamp.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .util import sha256_hex
 
@@ -37,19 +38,12 @@ class Report:
         self.sections.append((title, dict(items)))
 
 
-def provenance_block(
-    version: str,
-    seed: int | None,
-    inputs: Mapping[str, bytes] | None = None,
-    options: Mapping[str, Any] | None = None,
-) -> dict:
-    block: dict[str, Any] = {"tool": "rankaudit", "version": version}
-    if seed is not None:
-        block["seed"] = seed
+def provenance_block(version: str, seed: int, inputs: Mapping[str, bytes] | None,
+                     options: Mapping[str, Any]) -> dict:
+    block: dict[str, Any] = {"tool": "rankaudit", "version": version, "seed": seed}
     if inputs:
         block["inputs"] = {name: sha256_hex(data) for name, data in sorted(inputs.items())}
-    if options:
-        block["options"] = dict(options)
+    block["options"] = dict(options)
     return block
 
 
@@ -107,10 +101,10 @@ def render_json(report: Report, extra: Mapping[str, Any] | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_csv(fh: IO[str], header: Sequence[str],
-              chunks: Iterable[Iterable[Sequence[Any]]]) -> None:
-    """Write the header and then each chunk of rows to fh as CSV, chunk by chunk."""
-    writer = csv.writer(fh, lineterminator="\n")
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """The header and rows as CSV text with "\n" line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for rows in chunks:
-        writer.writerows(rows)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -375,19 +375,26 @@ def _metric_to_dict(spec: MetricSpec) -> dict:
 
 
 def save_matrix(m: ScoreMatrix, format: str = "csv") -> str:
-    """Serialize a matrix so load_matrix(save_matrix(m)) round-trips exactly."""
+    """Serialize a matrix so load_matrix(save_matrix(m)) round-trips exactly.
+
+    Cells are written as floats.  The CSV loader strips ids, so CSV refuses
+    an id with surrounding whitespace with a ConfigError; JSON keeps it.
+    """
     if format == "csv":
+        spaced = next((i for i in (*m.task_ids, *m.model_ids) if i != i.strip()), None)
+        if spaced is not None:
+            raise ConfigError(f"id {spaced!r} has surrounding whitespace, which CSV loses")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["model", *m.task_ids])
         for mid, row in zip(m.model_ids, m.scores):
-            writer.writerow([mid, *["" if c is None else repr(c) for c in row]])
+            writer.writerow([mid, *["" if c is None else repr(float(c)) for c in row]])
         return buf.getvalue()
     if format == "json":
         doc = {
             "models": list(m.model_ids),
             "tasks": list(m.task_ids),
-            "scores": [[c for c in row] for row in m.scores],
+            "scores": [[None if c is None else float(c) for c in row] for row in m.scores],
             "metrics": {tid: _metric_to_dict(m.metrics[tid]) for tid in m.task_ids},
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"

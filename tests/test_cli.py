@@ -299,6 +299,11 @@ def test_audit_failing_size_leaves_no_listing(tied_matrix, tmp_path, capsys, mon
     # the other k (3) bounded the message when it came from the scored audit
     (["--ks", "0,3"], "k must be >= 1, got 0"),
     (["--budget", "0"], "sampling budget must be >= 1, got 0"),
+    # a dict stands for the config file that holds it
+    (["--config", {"aggregation": {"weights": {"nope": 2.0}}}],
+     "aggregation weights name task 'nope', which the matrix lacks"),
+    (["--config", {"aggregation": {"groups": {"nope": "g"}}}],
+     "aggregation groups name task 'nope', which the matrix lacks"),
 ])
 def test_bad_k_or_budget_fails_before_any_size_is_scored(command, bad, message, tied_matrix,
                                                          tmp_path, capsys, monkeypatch):
@@ -306,6 +311,10 @@ def test_bad_k_or_budget_fails_before_any_size_is_scored(command, bad, message, 
         raise AssertionError("a subset size was scored")
 
     monkeypatch.setattr(rankaudit.cli, "unique_topk_audit", scoring)
+    if isinstance(bad[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bad[-1]))
+        bad = [*bad[:-1], str(config)]
     out = tmp_path / "out"
     code, stdout, err = run(capsys, command, "--matrix", str(tied_matrix), "--sizes", "2",
                             *bad, "--out", str(out))

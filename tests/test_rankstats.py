@@ -14,7 +14,7 @@ import rankaudit
 from rankaudit import fixtures, rankstats
 from rankaudit.aggregate import AggregationSpec, aggregate
 from rankaudit.errors import ConfigError, SchemaError, UndefinedCorrelationError
-from rankaudit.report import write_csv
+from rankaudit.report import csv_text
 from rankaudit.ranking import (
     Ranking,
     enumerate_subsets,
@@ -502,6 +502,44 @@ def test_audit_rejects_a_subset_count_past_int64():
     assert unique_topk_audit(m, spec, 68, 1, sampling_budget=50).evaluated == 50
 
 
+MEAN = AggregationSpec("arithmetic_mean")
+
+
+@pytest.mark.parametrize("spec, size, k, budget, message", [
+    (MEAN, 2, 0, 50, "k must be >= 1, got 0"),
+    (MEAN, 2, 1, 0, "sampling budget must be >= 1, got 0"),
+    (MEAN, 2, 1, True, "sampling_budget must be an int, got True"),
+    (AggregationSpec("arithmetic_mean", weights={"nope": 2.0}), 2, 1, 50,
+     "aggregation weights name task 'nope', which the matrix lacks"),
+    (MEAN, 0, 1, 50, "subset size must be in [1, 70], got 0"),
+    (MEAN, 71, 1, 50, "subset size must be in [1, 70], got 71"),
+    (MEAN, 35, 1, 50, f"C(70, 35) = {comb(70, 35)} subsets of size 35"),
+])
+def test_check_audit_and_the_audit_refuse_alike(spec, size, k, budget, message):
+    m = matrix([[float(j % 3) for j in range(70)], [1.0] * 70])
+    errors = []
+    for call in (lambda: rankstats.check_audit(m, spec, [size], [k], budget),
+                 lambda: unique_topk_audit(m, spec, size, k, sampling_budget=budget)):
+        with pytest.raises(ConfigError) as exc:
+            call()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and message in errors[0]
+
+
+def test_check_audit_counts_each_size_and_names_the_first_broken_rule():
+    m = matrix([[1, 2, 3, 4], [4, 3, 2, 1]])
+    assert rankstats.check_audit(m, MEAN, [1, 2, 4], [1, 3], 10) == [4, 6, 1]
+    unknown = AggregationSpec("arithmetic_mean", weights={"nope": 2.0})
+    with pytest.raises(ConfigError, match="got 0$"):  # k before budget, spec and size
+        rankstats.check_audit(m, unknown, [9], [3, 0], 0)
+    with pytest.raises(ConfigError, match="sampling budget"):
+        rankstats.check_audit(m, unknown, [9], [3], 0)
+    with pytest.raises(ConfigError, match="'nope'"):
+        rankstats.check_audit(m, unknown, [9], [3], 10)
+    with pytest.raises(ConfigError, match="got 9$"):
+        rankstats.check_audit(m, MEAN, [2, 9, 0], [3], 10)
+
+
 # -- per-subset listing ------------------------------------------------------------------
 
 LISTING_HEADER = ["size", "k", "tasks", "topk", "boundary_tied"]
@@ -520,9 +558,7 @@ def reference_listing(results):
 
 
 def csv_bytes(rows):
-    buf = io.StringIO()
-    write_csv(buf, LISTING_HEADER, [rows])
-    return buf.getvalue().encode()
+    return csv_text(LISTING_HEADER, rows).encode()
 
 
 # Ids the csv module must quote ("," and '"'), the listing's own separators,

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -267,6 +269,32 @@ def test_csv_round_trip(m):
 def test_json_round_trip(m):
     again = load_matrix(save_matrix(m, "json"), "json")
     assert again == m
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("rows", [
+    np.array([[0.5, 1.0], [0.25, 2.0]]),
+    np.array([[0.1, 1.5], [-2.0, 3.0]], dtype=np.float32),
+    np.array([[1, 2], [-3, 2**40]], dtype=np.int64),
+    ((1, 2), (-3, 4)),
+    ((True, False), (False, 1.5)),
+    ((-0.0, 5e-324), (None, 1.0)),
+], ids=["float64", "float32", "int64", "int", "bool", "signed-zero-subnormal-missing"])
+def test_cells_of_any_number_type_round_trip(format, rows):
+    m = ScoreMatrix(("a", "b"), ("t", "u"), rows)
+    again = load_matrix(save_matrix(m, format), format)
+    assert again == m
+    assert [[None if c is None else float(c).hex() for c in row] for row in m.scores] == \
+        [[None if c is None else c.hex() for c in row] for row in again.scores]
+
+
+def test_csv_refuses_ids_its_loader_would_strip():
+    for model_ids, task_ids, spaced in [((" a", "b "), ("t", "u"), " a"),
+                                        (("a", "b "), ("t", "\tu"), "\tu")]:
+        m = ScoreMatrix(model_ids, task_ids, ((1.0, 2.0), (3.0, None)))
+        with pytest.raises(ConfigError, match=re.escape(repr(spaced))):
+            save_matrix(m, "csv")
+        assert load_matrix(save_matrix(m, "json"), "json") == m
 
 
 def test_metric_fields_survive_json_round_trips():
