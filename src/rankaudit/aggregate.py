@@ -15,7 +15,7 @@ task order, so an exact tie never depends on how tasks were listed.
 `BATCHED` maps the schemes that have one to a batched subset kernel: it
 scores many task subsets of one matrix in a few numpy operations, for the
 subset audits.  `aggregate` is the scalar reference those kernels are
-tested against and fall back to.
+tested against, and `subset_keys` the one place that chooses between them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .ranking import Ranking, fractional_ranks, rank_models
-from .scorebank import ScoreMatrix, oriented_cells
+from .scorebank import ScoreMatrix, oriented_array, oriented_cells
 from .util import checked_fsum, positive
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class AggregateResult:
         object.__setattr__(self, "per_model", dict(self.per_model))
 
 
-def _checked_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ...]:
+def checked_tasks(m: ScoreMatrix, subset: Sequence[str] | None) -> tuple[str, ...]:
     """The prologue of every scheme: the subset, checked before any cell is read."""
     tasks = tuple(m.task_ids if subset is None else subset)
     if not tasks:
@@ -99,7 +99,7 @@ def arithmetic_mean(
     weights: Mapping[str, float] | None = None,
 ) -> AggregateResult:
     """Per-model weighted mean over the subset."""
-    tasks = _checked_tasks(m, subset)
+    tasks = checked_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
     means = _weighted_means(m, oriented_cells(m, tasks).tolist(), w)
     return AggregateResult(dict(zip(m.model_ids, means)), higher_is_better=True)
@@ -111,7 +111,7 @@ def geometric_mean(
     weights: Mapping[str, float] | None = None,
 ) -> AggregateResult:
     """exp of the weighted mean of logs; every selected score must be > 0."""
-    tasks = _checked_tasks(m, subset)
+    tasks = checked_tasks(m, subset)
     w = _resolve_weights(m, tasks, weights)
     arr = oriented_cells(m, tasks)
     bad = np.argwhere(arr <= 0)
@@ -130,7 +130,7 @@ def median_score(m: ScoreMatrix, subset: Sequence[str] | None = None) -> Aggrega
     A mean of two central values beyond the float range is a DomainError:
     in one infinite median, models would tie.
     """
-    tasks = _checked_tasks(m, subset)
+    tasks = checked_tasks(m, subset)
     n = len(tasks)
     values = {}
     for mid, row in zip(m.model_ids, oriented_cells(m, tasks).tolist()):
@@ -158,7 +158,7 @@ def macro_average(
     Groups come from `task_group`; a selected task without a group is an
     error.
     """
-    tasks = _checked_tasks(m, subset)
+    tasks = checked_tasks(m, subset)
     groups: dict[str, list[int]] = {}
     for j, t in enumerate(tasks):
         g = task_group(m, t, group_map)
@@ -176,7 +176,7 @@ def macro_average(
 
 def average_rank(m: ScoreMatrix, subset: Sequence[str] | None = None) -> AggregateResult:
     """Rank models per task (1 = best, ties share the average rank), then mean."""
-    return _mean_rank(m, oriented_cells(m, _checked_tasks(m, subset)))
+    return _mean_rank(m, oriented_cells(m, checked_tasks(m, subset)))
 
 
 def _mean_rank(m: ScoreMatrix, arr: np.ndarray) -> AggregateResult:
@@ -200,7 +200,7 @@ def robust_average_rank(
     to sub-bucket score noise.  Buckets are anchored at zero.
     """
     positive(bin_width, "bin_width")
-    tasks = _checked_tasks(m, subset)
+    tasks = checked_tasks(m, subset)
     return _mean_rank(m, _bins(oriented_cells(m, tasks), bin_width, m.model_ids, tasks))
 
 
@@ -234,7 +234,7 @@ def elimination_ranking(m: ScoreMatrix, subset: Sequence[str] | None = None) -> 
     is the lcm of its tasks' top-group sizes and a task gives each of its
     g top models unit // g, so outcomes do not depend on summation order.
     """
-    columns = oriented_cells(m, _checked_tasks(m, subset)).T.tolist()
+    columns = oriented_cells(m, checked_tasks(m, subset)).T.tolist()
     place = [0] * m.n_models
     settled = 0
     fields = [list(range(m.n_models))]  # best field on top
@@ -306,12 +306,6 @@ def aggregate(
 
 
 # -- batched subset kernels -------------------------------------------------
-#
-# A kernel factory takes the oriented dense array x (models x tasks, from
-# scorebank.oriented_array), the matrix and the spec.  It returns a function
-# from a (subsets x size) array of task indices to (subsets x models) keys,
-# higher meaning better, that order and tie the models exactly as `aggregate`
-# does, or None for a matrix it cannot score that way.
 
 SubsetKeys = Callable[[np.ndarray], np.ndarray]
 
@@ -405,11 +399,43 @@ def _median_kernel(x: np.ndarray, m: ScoreMatrix, spec: AggregationSpec) -> Subs
     return keys
 
 
-# Schemes without a kernel (geometric_mean, macro_average,
-# elimination_ranking) are audited on the scalar path, one subset at a time.
 BATCHED: dict[str, Callable[[np.ndarray, ScoreMatrix, AggregationSpec], SubsetKeys | None]] = {
     "arithmetic_mean": _mean_kernel,
     "median": _median_kernel,
     "average_rank": _rank_kernel,
     "robust_average_rank": _rank_kernel,
 }
+
+
+def subset_keys(m: ScoreMatrix, spec: AggregationSpec) -> SubsetKeys:
+    """Keys of `spec` per subset: rows of task indices to higher-better model keys.
+
+    A kernel factory in `BATCHED` takes the oriented dense array x (models
+    x tasks, from `oriented_array`), the matrix and the spec, and returns a
+    function from a (subsets x size) array of task indices to (subsets x
+    models) keys, higher meaning better, that order and tie the models
+    exactly as `aggregate` does; or None for a matrix it cannot score that
+    way.  Each call scores its subsets in one call of that kernel.  A
+    subset is settled by the scalar `aggregate` instead, with minus its
+    ranks as keys, when the scheme has no kernel or its factory declines
+    the matrix, when it touches a missing cell, where that call raises the
+    scalar path's MissingScoreError, or when a kernel key is not finite,
+    where an overflow would tie models and the scalar path raises its
+    DomainError.  Key columns follow the matrix's model rows.
+    """
+    x, missing = oriented_array(m)
+    col_missing = missing.any(axis=0)
+    factory = BATCHED.get(spec.method, lambda *_: None)
+    # Without a kernel every key is NaN, so every subset takes the scalar path.
+    kernel = factory(x, m, spec) or (lambda idx: np.full((len(idx), m.n_models), np.nan))
+
+    def keys(idx: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # a median kernel (a + b) / 2 of huge scores
+            out = kernel(idx)
+        scalar = col_missing[idx].any(axis=1) | ~np.isfinite(out).all(axis=1)
+        for row in np.flatnonzero(scalar).tolist():
+            entries = aggregate(m, tuple(m.task_ids[j] for j in idx[row].tolist()), spec).entries
+            out[row] = [-entries[mid] for mid in m.model_ids]
+        return out
+
+    return keys

@@ -376,8 +376,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _replicate_list(value: Any) -> list[float]:
     reps = array(number)(value)
-    if not reps:
-        raise ValueError("expected a non-empty array")
+    if len(reps) < 2:
+        raise ValueError(f"expected at least 2 replicates, got {len(reps)}")
     return reps
 
 
@@ -421,9 +421,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # identical per-dataset means carry no average-difference signal;
         # report that rather than aborting the whole comparison
         wilcoxon, signed_rank = None, {"degenerate": str(exc)}
+    # the bootstrap checks bootstrap_n before the slower permutation tests run
+    p_le = prob_a_le_b(means_a, means_b, bootstrap_n=args.bootstrap_n, seed=args.seed)
     dataset_tests = per_dataset_tests(reps_a, reps_b, alternative, seed=args.seed)
     rejected = holm_correction([t.p_value for t in dataset_tests], alpha, args.correction)
-    p_le = prob_a_le_b(means_a, means_b, bootstrap_n=args.bootstrap_n, seed=args.seed)
 
     report = _report("Model comparison (A vs B)", args.seed, {args.replicates: raw},
                      _arg_options(args))

@@ -59,14 +59,23 @@ class MetricSpec:
                                   f"non-zero, got {span}")
 
 
+def _float_or_inf(cell: object) -> float:
+    """float(cell), NaN for a missing cell and inf for an int past the float range."""
+    try:
+        return math.nan if cell is None else float(cell)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Immutable models x tasks score table with per-task metadata.
 
     scores is row-major (one row per model); cells are floats or None for
-    missing.  Every present score must be finite.  There must be at least
-    one model and one task, and the ids must be distinct within each axis
-    and free of line breaks, which would split a CSV row.
+    missing.  Every present score must be finite and equal to its float,
+    which refuses an int no float holds, such as 2**60 + 1.  There must be
+    at least one model and one task, and the ids must be distinct within
+    each axis and free of line breaks, which would split a CSV row.
     """
 
     model_ids: tuple[str, ...]
@@ -96,12 +105,21 @@ class ScoreMatrix:
                     f"model {mid!r}: expected {len(tasks)} cells, got {len(row)}"
                 )
         shape = (len(models), len(tasks))
-        missing = np.equal(np.array(rows, dtype=object).reshape(shape), None)
-        values = np.array(rows, dtype=float).reshape(shape)  # None reads as NaN
+        cells = np.array(rows, dtype=object).reshape(shape)
+        missing = np.equal(cells, None)
+        try:
+            values = np.array(rows, dtype=float).reshape(shape)  # None reads as NaN
+        except OverflowError:  # an int past the float range reads as inf
+            values = np.array([list(map(_float_or_inf, row)) for row in rows]).reshape(shape)
         bad = np.argwhere(~(np.isfinite(values) | missing))
         if len(bad):
             i, j = bad[0]
             raise SchemaError(f"non-finite score for model {models[i]!r}, task {tasks[j]!r}")
+        inexact = np.argwhere(~(np.equal(cells, values) | missing))
+        if len(inexact):
+            i, j = inexact[0]
+            raise SchemaError(f"score for model {models[i]!r}, task {tasks[j]!r} "
+                              "is not exactly a float")
         values[missing] = 0.0
         values.flags.writeable = False
         missing.flags.writeable = False

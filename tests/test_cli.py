@@ -996,6 +996,25 @@ def test_exit_code_2_for_bad_replicate_list(entry, tmp_path, capsys):
     assert "'d7'" in err
 
 
+@pytest.mark.parametrize("last, argv, key", [
+    (None, ["--bootstrap-n", "10"], "bootstrap_n must be >= 1000, got 10"),
+    ({"A": [0.5, 0.6], "B": [0.5]}, [], "'d8': 'B': expected at least 2 replicates, got 1"),
+], ids=["bootstrap-n-10", "one-replicate-side-last"])
+def test_compare_refuses_before_any_permutation_test(last, argv, key, replicates_file,
+                                                     monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("per_dataset_tests called")
+
+    monkeypatch.setattr("rankaudit.cli.per_dataset_tests", never)
+    if last is not None:
+        doc = json.loads(Path(replicates_file).read_text())
+        doc["datasets"]["d8"] = last
+        Path(replicates_file).write_text(json.dumps(doc))
+    code, _, err = run(capsys, "compare", "--replicates", replicates_file, *argv)
+    assert code == 2
+    assert key in err
+
+
 @pytest.mark.parametrize("which", ["matrix", "metrics", "config"])
 def test_exit_code_2_for_non_utf8_input(which, tmp_path, capsys):
     files = {"matrix": b"model,t1\na,1\n", "metrics": b'{"tasks": {"t1": {}}}',

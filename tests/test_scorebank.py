@@ -279,13 +279,27 @@ def test_json_round_trip(m):
     ((1, 2), (-3, 4)),
     ((True, False), (False, 1.5)),
     ((-0.0, 5e-324), (None, 1.0)),
-], ids=["float64", "float32", "int64", "int", "bool", "signed-zero-subnormal-missing"])
+    ((np.int64(2**60), np.float32(0.1)), (True, 2**53)),
+], ids=["float64", "float32", "int64", "int", "bool", "signed-zero-subnormal-missing",
+        "cells-equal-to-their-float"])
 def test_cells_of_any_number_type_round_trip(format, rows):
     m = ScoreMatrix(("a", "b"), ("t", "u"), rows)
     again = load_matrix(save_matrix(m, format), format)
     assert again == m
     assert [[None if c is None else float(c).hex() for c in row] for row in m.scores] == \
         [[None if c is None else c.hex() for c in row] for row in again.scores]
+
+
+@pytest.mark.parametrize("cell, message", [
+    (2**60 + 1, "not exactly a float"),
+    (-(2**53) - 1, "not exactly a float"),
+    (10**400, "non-finite score"),
+    (-(10**400), "non-finite score"),
+], ids=["2**60+1", "-2**53-1", "10**400", "-10**400"])
+def test_cells_no_float_holds_are_refused(cell, message):
+    with pytest.raises(SchemaError, match="model 'a', task 't'") as exc:
+        ScoreMatrix(("a", "b"), ("t",), ((cell,), (1,)))
+    assert message in str(exc.value)
 
 
 def test_csv_refuses_ids_its_loader_would_strip():

@@ -59,7 +59,8 @@ def scalar_calls(monkeypatch):
         calls.append(subset)
         return aggregate(m, subset, spec)
 
-    monkeypatch.setattr(rankstats, "aggregate", counting)
+    # the package attribute rankaudit.aggregate is the function, not the module
+    monkeypatch.setattr(importlib.import_module("rankaudit.aggregate"), "aggregate", counting)
     return calls
 
 
