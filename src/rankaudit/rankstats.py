@@ -22,7 +22,7 @@ from .aggregate import (AggregationSpec, SubsetKeys, aggregate, check_spec_tasks
 from .errors import ConfigError, UndefinedCorrelationError
 from .ranking import TopK, tau_b, top_k
 from .scorebank import ScoreMatrix
-from .util import derive_seed
+from .util import derive_seed, distinct
 
 __all__ = [
     "SubsetAuditResult",
@@ -170,12 +170,16 @@ def check_audit(m: ScoreMatrix, spec: AggregationSpec, sizes: Sequence[int],
                 ks: Sequence[int], sampling_budget: int) -> list[int]:
     """C(T, size) for each size of an audit request, after checking the request.
 
-    A ConfigError names the first broken rule, in this order: every k is
-    >= 1; the budget is an int >= 1; the spec passes `check_spec_tasks`;
-    each size is in [1, T] with C(T, size) below 2**63, because subsets
-    are unranked from int64 ranks.
+    A ConfigError names the first broken rule, in this order: there is a k;
+    no size, then no k, is listed twice; every k is >= 1; the budget is an int
+    >= 1; the spec passes `check_spec_tasks`; each size is in [1, T] with
+    C(T, size) below 2**63, because subsets are unranked from int64 ranks.
     """
-    if min(ks, default=1) < 1:
+    if not ks:
+        raise ConfigError("'ks' needs at least one k")
+    distinct(sizes, "subset_sizes")
+    distinct(ks, "ks")
+    if min(ks) < 1:
         raise ConfigError(f"k must be >= 1, got {min(ks)}")
     if isinstance(sampling_budget, bool) or not isinstance(sampling_budget, int):
         raise ConfigError(f"sampling_budget must be an int, got {sampling_budget!r}")

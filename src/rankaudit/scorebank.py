@@ -25,7 +25,8 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, MissingScoreError, ParseError, SchemaError
-from .util import array, number, parse_json, positive, record, single_line, table, text
+from .report import csv_text
+from .util import array, as_text, number, parse_json, positive, record, single_line, table, text
 
 HIGHER = "higher"
 LOWER = "lower"
@@ -115,7 +116,11 @@ class ScoreMatrix:
         if len(bad):
             i, j = bad[0]
             raise SchemaError(f"non-finite score for model {models[i]!r}, task {tasks[j]!r}")
-        inexact = np.argwhere(~(np.equal(cells, values) | missing))
+        exact = np.equal(cells, values) | missing
+        # numpy compares an int scalar with a float as floats: past 2**53, compare ints
+        for i, j in np.argwhere(exact & ((values > 2**53) | (values < -2**53))).tolist():
+            exact[i, j] = int(cells[i, j]) == int(values[i, j])
+        inexact = np.argwhere(~exact)
         if len(inexact):
             i, j = inexact[0]
             raise SchemaError(f"score for model {models[i]!r}, task {tasks[j]!r} "
@@ -280,14 +285,6 @@ def _normalized(m: ScoreMatrix, x: np.ndarray,
 # -- ingestion ----------------------------------------------------------
 
 
-def _as_text(source: bytes | str | IO, what: str) -> str:
-    data = source if isinstance(source, (bytes, str)) else source.read()
-    try:
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
-
-
 _METRIC = record({"direction": text, "group": text, "weight": number,
                   "random_baseline": number, "human_reference": number})
 # {task_id: metric entry} -> {task_id: MetricSpec}
@@ -297,7 +294,7 @@ _SIDECAR = record({"tasks": _METRIC_SPECS}, required=["tasks"], extra_keys=True)
 
 def load_metrics(source: bytes | str | IO) -> dict[str, MetricSpec]:
     """Parse a sidecar metric-metadata JSON: {"tasks": {task_id: {...}}}."""
-    return parse_json(_as_text(source, "metric sidecar"), "metric sidecar", _SIDECAR)["tasks"]
+    return parse_json(source, "metric sidecar", _SIDECAR)["tasks"]
 
 
 def _parse_cell(text: str, row_no: int, col_name: str) -> float | None:
@@ -331,7 +328,7 @@ def load_matrix(
     loaders = {"csv": _load_csv, "json": _load_json}
     if format not in loaders:
         raise ConfigError(f"unknown matrix format {format!r}")
-    return loaders[format](_as_text(source, "matrix stream"), metrics)
+    return loaders[format](as_text(source, "matrix stream"), metrics)
 
 
 def _load_csv(text: str, metrics: Mapping[str, MetricSpec] | None) -> ScoreMatrix:
@@ -402,12 +399,9 @@ def save_matrix(m: ScoreMatrix, format: str = "csv") -> str:
         spaced = next((i for i in (*m.task_ids, *m.model_ids) if i != i.strip()), None)
         if spaced is not None:
             raise ConfigError(f"id {spaced!r} has surrounding whitespace, which CSV loses")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["model", *m.task_ids])
-        for mid, row in zip(m.model_ids, m.scores):
-            writer.writerow([mid, *["" if c is None else repr(float(c)) for c in row]])
-        return buf.getvalue()
+        return csv_text(["model", *m.task_ids],
+                        ([mid, *["" if c is None else repr(float(c)) for c in row]]
+                         for mid, row in zip(m.model_ids, m.scores)))
     if format == "json":
         doc = {
             "models": list(m.model_ids),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -92,17 +93,13 @@ def exact_wplus_distribution(ranks: Sequence[float]) -> dict[float, float]:
     halves (fractional ties), so doubling makes the convolution integral.
     """
     doubled = [round(2 * r) for r in ranks]
-    if any(abs(2 * r - d) > 1e-9 for r, d in zip(ranks, doubled)):
-        raise ConfigError("ranks must be multiples of 0.5")
-    counts = {0: 1}
+    if any(d < 0 or 2 * r != d for r, d in zip(ranks, doubled)):
+        raise ConfigError("ranks must be non-negative multiples of 0.5")
+    counts = [1]  # counts[s]: the sign patterns whose doubled W+ is s
     for d in doubled:
-        nxt: dict[int, int] = {}
-        for s, c in counts.items():
-            nxt[s] = nxt.get(s, 0) + c
-            nxt[s + d] = nxt.get(s + d, 0) + c
-        counts = nxt
+        counts = [a + b for a, b in zip(counts + [0] * d, [0] * d + counts)]
     total = 2 ** len(doubled)
-    return {s / 2.0: c / total for s, c in sorted(counts.items())}
+    return {s / 2.0: c / total for s, c in enumerate(counts) if c}
 
 
 def wilcoxon_signed_rank(
@@ -129,20 +126,14 @@ def wilcoxon_signed_rank(
 
     if n <= exact_limit:
         pmf = exact_wplus_distribution(abs_ranks)
-        p_ge = sum(p for w, p in pmf.items() if w >= w_plus - 1e-9)
-        p_le = sum(p for w, p in pmf.items() if w <= w_plus + 1e-9)
-        if alternative == B_GREATER:
-            p = p_ge
-        else:
-            p = min(1.0, 2.0 * min(p_ge, p_le))
+        p_ge = sum(p for w, p in pmf.items() if w >= w_plus)  # W+ and keys are exact halves
+        p_le = sum(p for w, p in pmf.items() if w <= w_plus)
+        p = p_ge if alternative == B_GREATER else min(1.0, 2.0 * min(p_ge, p_le))
         return TestResult(w_plus, p, "wilcoxon-signed-rank", alternative, True,
                           zeros_dropped=zeros)
 
     mean = n * (n + 1) / 4.0
-    tie_sizes: dict[float, int] = {}
-    for r in abs_ranks:
-        tie_sizes[r] = tie_sizes.get(r, 0) + 1
-    tie_term = sum(t**3 - t for t in tie_sizes.values()) / 48.0
+    tie_term = sum(t**3 - t for t in Counter(abs_ranks).values()) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     if var <= 0:
         raise DegenerateInputError("signed-rank variance is zero")

@@ -1,10 +1,10 @@
-"""Small shared helpers: seed derivation, stable hashing, checked sums, JSON input.
+"""Small shared helpers: seed derivation, stable hashing, checked sums, input.
 
-Every JSON input (config, metric sidecar, JSON matrix, replicates) is
-decoded by `parse_json` and typed by the readers below, so the rules for
-a well-formed value live here once: strings are JSON strings, integers
-JSON integers, numbers finite JSON numbers (never booleans or strings),
-and a null value means the key is absent.
+Every input is decoded by `as_text`, and every JSON input (config,
+sidecar, JSON matrix, replicates) parsed by `parse_json` and typed by the
+readers below, so the rules for a well-formed value live here once:
+strings are JSON strings, integers JSON integers, numbers finite JSON
+numbers (never booleans or strings), and a null value means the key is absent.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+from typing import IO, Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, ParseError, SchemaError
 
@@ -83,19 +83,34 @@ def distinct(values: Sequence[int], name: str) -> None:
         raise ConfigError(f"{name!r} lists {repeated[0]} more than once")
 
 
-# -- JSON input ------------------------------------------------------------
+# -- input ---------------------------------------------------------------
 
 
-def parse_json(data: bytes | str, where: str, reader: Reader) -> Any:
-    """The JSON document in data, typed by reader.
+def as_text(source: bytes | str | IO, what: str) -> str:
+    """The text of source, a stream read to its end, with bytes decoded as `json.loads` does.
 
-    Bad UTF-8 or bad JSON is a ParseError and a value the reader rejects a
-    SchemaError.  Each names where; the latter then the path of keys and
-    items down to the rejected value.
+    `json.detect_encoding` picks UTF-8 with or without a byte-order mark, UTF-16 or
+    UTF-32; bytes that do not decode are a ParseError naming what and the encoding.
+    """
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, bytes):
+        try:
+            return data.decode(encoding := json.detect_encoding(data))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not valid {encoding}: {exc}") from None
+    return data
+
+
+def parse_json(source: bytes | str | IO, where: str, reader: Reader) -> Any:
+    """The JSON document in source, decoded by `as_text` and typed by reader.
+
+    Bytes that do not decode or bad JSON are a ParseError and a value the
+    reader rejects a SchemaError.  Each names where; the latter then the
+    path of keys and items down to the rejected value.
     """
     try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(as_text(source, where))
+    except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"{where}: JSON nested too deeply") from None

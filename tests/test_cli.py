@@ -21,7 +21,7 @@ from rankaudit.errors import MissingScoreError
 from rankaudit.fixtures import fixture_path
 from rankaudit.ranking import TopK, kendall_tau_b
 from rankaudit.rankstats import unique_topk_audit
-from rankaudit.scorebank import load_matrix, load_metrics
+from rankaudit.scorebank import load_matrix, load_metrics, save_matrix
 
 MATRIX = str(fixture_path("lra_scores.csv"))
 METRICS = str(fixture_path("lra_metrics.json"))
@@ -1029,6 +1029,45 @@ def test_exit_code_2_for_non_utf8_input(which, tmp_path, capsys):
                        "--metrics", str(paths["metrics"]), "--config", str(paths["config"]))
     assert code == 2
     assert "input error" in err and "utf-8" in err.lower()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+@pytest.mark.parametrize("which", ["csv matrix", "json matrix", "metrics"])
+def test_encoded_inputs_give_the_outputs_of_utf8_ones(which, encoding, tmp_path, capsys):
+    m = load_matrix(Path(MATRIX).read_bytes(), "csv", load_metrics(Path(METRICS).read_bytes()))
+    files = {"csv matrix": ("m.csv", Path(MATRIX).read_text()),
+             "json matrix": ("m.json", save_matrix(m, "json")),
+             "metrics": ("metrics.json", Path(METRICS).read_text())}
+    docs, hashes = [], []
+    for name, codec in [("plain", "utf-8"), ("encoded", encoding)]:
+        directory = tmp_path / name
+        directory.mkdir()
+        paths = {}
+        for key, (filename, text) in files.items():
+            paths[key] = directory / filename
+            paths[key].write_bytes(text.encode(codec if key == which else "utf-8"))
+        matrix = paths["json matrix" if which == "json matrix" else "csv matrix"]
+        code, stdout, _ = run(capsys, "report", "--matrix", str(matrix),
+                              "--metrics", str(paths["metrics"]), "--format", "json")
+        assert code == 0
+        doc = json.loads(stdout)
+        hashes.append(doc["provenance"].pop("inputs"))
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert sorted(hashes[0].values()) != sorted(hashes[1].values())
+
+
+@pytest.mark.parametrize("command", ["corr", "aggregate"])
+@pytest.mark.parametrize("audit_only", [{"ks": [2, 2]}, {"subset_sizes": [1, 1]}, {"ks": []},
+                                        {"ks": [0]}, {"subset_sizes": [0]},
+                                        {"sampling_budget": 0}])
+def test_corr_and_aggregate_ignore_the_audit_only_keys(command, audit_only, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(audit_only))
+    outputs = [run(capsys, command, "--matrix", MATRIX, *extra, "--format", "json")
+               for extra in ([], ["--config", str(config)])]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("which", ["config", "replicates", "matrix", "metrics"])

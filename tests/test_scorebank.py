@@ -295,11 +295,36 @@ def test_cells_of_any_number_type_round_trip(format, rows):
     (-(2**53) - 1, "not exactly a float"),
     (10**400, "non-finite score"),
     (-(10**400), "non-finite score"),
-], ids=["2**60+1", "-2**53-1", "10**400", "-10**400"])
+    # numpy would compare these with their floats as two floats, and find them equal
+    (np.int64(2**60 + 1), "not exactly a float"),
+    (np.uint64(2**64 - 1), "not exactly a float"),
+], ids=["2**60+1", "-2**53-1", "10**400", "-10**400", "int64-2**60+1", "uint64-2**64-1"])
 def test_cells_no_float_holds_are_refused(cell, message):
     with pytest.raises(SchemaError, match="model 'a', task 't'") as exc:
         ScoreMatrix(("a", "b"), ("t",), ((cell,), (1,)))
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32"])
+def test_inputs_decode_from_every_json_encoding(encoding):
+    m = fixtures.lra_matrix()
+    metrics = m.metrics
+    for fmt in ("csv", "json"):
+        text = save_matrix(m, fmt)
+        assert load_matrix(text.encode(encoding), fmt, metrics) == m
+        assert load_matrix(io.BytesIO(text.encode(encoding)), fmt, metrics) == m
+    assert load_metrics(save_metrics(m).encode(encoding)) == metrics
+
+
+@pytest.mark.parametrize("data, loader, message", [
+    (b"model,t\x80\na,1\n", load_matrix, "matrix stream is not valid utf-8"),
+    ("model,t\na,1\n".encode("utf-16")[:-1], load_matrix, "matrix stream is not valid utf-16"),
+    (b'\xef\xbb\xbf{"tasks": {"t\x80": {}}}', load_metrics,
+     "metric sidecar is not valid utf-8-sig"),
+], ids=["utf-8", "utf-16-odd-length", "utf-8-sig"])
+def test_undecodable_bytes_name_the_input_and_encoding(data, loader, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        loader(data)
 
 
 def test_csv_refuses_ids_its_loader_would_strip():
